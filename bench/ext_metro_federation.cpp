@@ -213,16 +213,18 @@ int main(int argc, char** argv) {
                                      session.pool());
   }
 
-  // Gate: the slot/merge contract — one region per TaskPool slot must give
-  // the serial answer bit for bit (applies at every size).
+  // Gate: the slot/merge contract — one replication per TaskPool slot
+  // must give the serial answer bit for bit (applies at every size).
   {
     auto identity_config = make_config(10, true, 4);
     identity_config.horizon = core::Minutes{60.0};
-    const auto serial =
-        metro::simulate_federation(four_regions, identity_config, nullptr);
+    const auto serial = metro::simulate_federation_replicated(
+                            four_regions, identity_config, 3, nullptr)
+                            .merged;
     util::TaskPool pool(4);
-    const auto pooled =
-        metro::simulate_federation(four_regions, identity_config, &pool);
+    const auto pooled = metro::simulate_federation_replicated(
+                            four_regions, identity_config, 3, &pool)
+                            .merged;
     if (serial.wait_minutes.samples() != pooled.wait_minutes.samples() ||
         serial.served_local != pooled.served_local ||
         serial.rerouted != pooled.rerouted ||

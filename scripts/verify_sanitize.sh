@@ -7,8 +7,10 @@
 #               the adaptive control plane and the metro federation;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               simulate_replicated, simulate_adaptive_replicated and
-#               simulate_federation runs (the data races serial ctest
-#               cannot see).
+#               simulate_federation_replicated runs, the pooled bandwidth
+#               sweep over shared schemes and series, the event engine's
+#               arrival merge and the batching server (the data races
+#               serial ctest cannot see).
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -30,7 +32,7 @@ if [[ $mode == all || $mode == asan ]]; then
     test_obs_sampler test_obs_family test_obs_sketch test_obs_openmetrics \
     test_util_json test_bench_harness test_simulator test_task_pool \
     test_parallel test_event_queue test_batching test_net test_ctrl \
-    test_fault test_metro test_plan_cache test_stats
+    test_fault test_metro test_plan_cache test_stats test_engine_golden
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -52,19 +54,26 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_metro
   ./build-asan/tests/test_plan_cache
   ./build-asan/tests/test_stats
+  ./build-asan/tests/test_engine_golden
 fi
 
 if [[ $mode == all || $mode == thread ]]; then
   cmake -B build-tsan -S . -DVODBCAST_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
-    test_metro
+    test_metro test_series test_analysis test_event_queue test_batching \
+    test_engine_golden
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_simulator
   ./build-tsan/tests/test_ctrl
   ./build-tsan/tests/test_metro
+  ./build-tsan/tests/test_series
+  ./build-tsan/tests/test_analysis
+  ./build-tsan/tests/test_event_queue
+  ./build-tsan/tests/test_batching
+  ./build-tsan/tests/test_engine_golden
 fi
 
 echo "sanitize verify ($mode): OK"

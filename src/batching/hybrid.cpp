@@ -52,15 +52,14 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
   VB_EXPECTS(evaluation.has_value());
 
   // Workload: split one Zipf stream into hot (absorbed by broadcast) and
-  // cold (queued for multicast) requests.
+  // cold (queued for multicast) requests; only the cold side is kept.
   const auto popularity = workload::zipf_probabilities(config.catalog_size);
   workload::RequestGenerator generator(popularity, config.arrivals_per_minute,
                                        util::Rng(config.seed));
-  const auto all_requests = generator.generate_until(config.horizon);
-
   std::vector<workload::Request> cold;
   std::uint64_t hot_count = 0;
-  for (const auto& r : all_requests) {
+  for (auto r = generator.next(); r.arrival.v < config.horizon.v;
+       r = generator.next()) {
     if (r.video < config.hot_titles) {
       ++hot_count;
     } else {

@@ -88,7 +88,7 @@ std::size_t total_pending(const WaitQueues& queues) {
 }
 
 /// The per-run simulation state, bundled so event callbacks capture one
-/// pointer (plus at most one Request) and stay inside the event engine's
+/// pointer (plus a channel index) and stay inside the event engine's
 /// inline-capture budget — the hot path then never boxes a callback.
 struct MulticastSim {
   const BatchingPolicy& policy;
@@ -251,6 +251,13 @@ MulticastReport simulate_scheduled_multicast(
   VB_EXPECTS(config.channels >= 1);
   VB_EXPECTS(config.video_length.v > 0.0);
   VB_EXPECTS(num_videos >= 1);
+  // The run walks `requests` with a cursor, so check the stream up front:
+  // in range, and in nondecreasing arrival order.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    VB_EXPECTS(requests[i].video < num_videos);
+    VB_EXPECTS_MSG(i == 0 || requests[i - 1].arrival.v <= requests[i].arrival.v,
+                   "requests must be in nondecreasing arrival order");
+  }
 
   MulticastReport report;
   report.policy = policy.name();
@@ -333,14 +340,14 @@ MulticastReport simulate_scheduled_multicast(
   probes.add("batching.event_queue.pending",
              [&events] { return static_cast<double>(events.pending()); });
 
-  for (const auto& request : requests) {
-    VB_EXPECTS(request.video < num_videos);
-    // 24-byte capture: stays in the engine's inline slot, no boxing.
-    events.schedule(request.arrival.v,
-                    [sim = &state, request] { sim->arrival(request); });
-  }
-
-  events.run_until(config.horizon.v);
+  std::size_t cursor = 0;
+  events.run_until(
+      config.horizon.v,
+      [&] {
+        return cursor < requests.size() ? requests[cursor].arrival.v
+                                        : sim::EventQueue::kNoArrival;
+      },
+      [&] { state.arrival(requests[cursor++]); });
   probes.advance(config.horizon.v);
 
   // Anything still queued at the horizon: expired entries reneged, the rest

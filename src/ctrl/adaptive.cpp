@@ -579,24 +579,25 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
   const double slot_d1 = evaluation->metrics.access_latency.v;
 
   // Request stream: Zipf over *ranks*; the rank->title map is the identity
-  // until flip_at, then a seeded shuffle. Mapping per request up front keeps
-  // the event loop free of scenario branches.
+  // until flip_at, then a seeded shuffle applied as each request is pulled.
   const auto rank_probs =
       workload::zipf_probabilities(config.catalog_size, config.zipf_theta);
   workload::RequestGenerator generator(rank_probs, config.arrivals_per_minute,
                                        util::Rng(config.seed));
-  auto requests = generator.generate_until(config.horizon);
   const bool flips = config.flip_at.v >= 0.0 &&
                      config.flip_at.v < config.horizon.v;
   std::vector<core::VideoId> perm;
   if (flips) {
     perm = flip_permutation(config.catalog_size, config.seed ^ 0x9e3779b9u);
-    for (auto& r : requests) {
-      if (r.arrival.v >= config.flip_at.v) {
-        r.video = perm[r.video];
-      }
-    }
   }
+  const auto pull_request = [&] {
+    workload::Request r = generator.next();
+    if (flips && r.arrival.v >= config.flip_at.v) {
+      r.video = perm[r.video];
+    }
+    VB_EXPECTS(r.video < config.catalog_size);
+    return r;
+  };
 
   AdaptiveReport report;
   report.channels_per_video = capacity.channels_per_video;
@@ -724,11 +725,6 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
               state.tail_capacity, capacity.degraded ? ", degraded" : "");
   }
 
-  for (const auto& request : requests) {
-    VB_EXPECTS(request.video < config.catalog_size);
-    events.schedule(request.arrival.v,
-                    [sim = &state, request] { sim->arrival(request); });
-  }
   if (flips) {
     events.schedule(config.flip_at.v, [sim = &state, &rank_probs] {
       sim->flipped = true;
@@ -758,7 +754,17 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
     events.schedule(config.epoch.v, [sim = &state] { sim->run_epoch(); });
   }
 
-  events.run_until(config.horizon.v);
+  workload::Request next = pull_request();
+  events.run_until(
+      config.horizon.v,
+      [&] {
+        return next.arrival.v < config.horizon.v ? next.arrival.v
+                                                 : sim::EventQueue::kNoArrival;
+      },
+      [&] {
+        state.arrival(next);
+        next = pull_request();
+      });
   probes.advance(config.horizon.v);
 
   std::size_t unserved = 0;
@@ -870,10 +876,7 @@ ReplicatedAdaptiveReport simulate_adaptive_replicated(
       config.sink->spans.merge_from(sinks[r]->spans);
     }
   }
-  if (reps >= 2) {
-    out.wait_mean_ci95 = 1.96 * out.replication_mean_wait.stddev() /
-                         std::sqrt(static_cast<double>(reps));
-  }
+  out.wait_mean_ci95 = sim::mean_ci95(out.replication_mean_wait);
   return out;
 }
 

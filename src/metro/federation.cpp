@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "schemes/skyscraper.hpp"
+#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/request.hpp"
 
@@ -55,11 +56,125 @@ std::uint64_t mbits_to_bytes(double mbits) {
   return static_cast<std::uint64_t>(std::llround(mbits * 125000.0));
 }
 
-}  // namespace
+/// One region's demand-side accounting: its report slice plus, when the
+/// campaign is observed, a private sink with pre-resolved instruments.
+/// Only arrivals originating in the region are recorded here, in arrival
+/// order, so the ledger has exactly one writer.
+struct RegionLedger {
+  RegionReport report;
+  std::unique_ptr<obs::Sink> sink;
+  obs::Counter* arrivals_total = nullptr;
+  obs::Counter* region_arrivals = nullptr;
+  obs::Counter* served_local = nullptr;
+  obs::Counter* rerouted = nullptr;
+  obs::Counter* rejected = nullptr;
+  obs::Counter* link_bytes = nullptr;
+  /// 1-based arrival ordinal within the region; numbers the spans.
+  std::uint64_t ordinal = 0;
 
-FederationReport simulate_federation(const Topology& topology,
-                                     const FederationConfig& config,
-                                     util::TaskPool* pool) {
+  RegionLedger(std::size_t g, const FederationConfig& config) {
+    report.wait_minutes.set_sample_cap(config.stats_sample_cap);
+    if (config.sink == nullptr) {
+      return;
+    }
+    sink = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
+                                       config.sink->spans.capacity());
+    auto& reg = sink->metrics;
+    const std::string label = std::to_string(g);
+    arrivals_total = &reg.counter("metro.arrivals");
+    region_arrivals =
+        &reg.counter_family("metro.region_arrivals", {"region"}).with({label});
+    served_local =
+        &reg.counter_family("metro.served_local", {"region"}).with({label});
+    rerouted = &reg.counter_family("metro.rerouted", {"region"}).with({label});
+    rejected = &reg.counter_family("metro.rejected", {"region"}).with({label});
+    link_bytes =
+        &reg.counter_family("metro.link_bytes", {"region"}).with({label});
+  }
+
+  /// Records one routed arrival: its penalized wait (broadcast tune wait or
+  /// tail admission wait, plus link transit, or the rejection penalty),
+  /// counters and spans.
+  void record(const RouteDecision& d, const FederationConfig& config,
+              double d1) {
+    ++ordinal;
+    double wait = 0.0;
+    switch (d.kind) {
+      case RouteKind::kRejected:
+        wait = config.reject_penalty.v;
+        ++report.rejected;
+        break;
+      case RouteKind::kLocal:
+      case RouteKind::kRerouted:
+        wait = d.transit_min +
+               (d.broadcast ? tune_wait(d.arrival_min + d.transit_min, d1)
+                            : d.queue_wait_min);
+        if (d.kind == RouteKind::kLocal) {
+          ++report.served_local;
+        } else {
+          ++report.rerouted_out;
+        }
+        break;
+    }
+    ++report.arrivals;
+    report.link_mbits += d.link_mbits;
+    report.wait_minutes.add(wait);
+    if (sink == nullptr) {
+      return;
+    }
+
+    arrivals_total->add();
+    region_arrivals->add();
+    switch (d.kind) {
+      case RouteKind::kLocal:
+        served_local->add();
+        break;
+      case RouteKind::kRerouted:
+        rerouted->add();
+        break;
+      case RouteKind::kRejected:
+        rejected->add();
+        break;
+    }
+    if (d.link_mbits > 0.0) {
+      link_bytes->add(mbits_to_bytes(d.link_mbits));
+    }
+    obs::Span session;
+    session.start_min = d.arrival_min;
+    session.end_min = d.kind == RouteKind::kRejected
+                          ? d.arrival_min
+                          : d.arrival_min + wait + config.video.duration.v;
+    session.phase = obs::SpanPhase::kRegionSession;
+    session.channel = static_cast<std::int32_t>(d.served_by);
+    session.video = d.video;
+    session.client = ordinal;
+    session.value = wait;
+    const auto id = sink->spans.record(session);
+    if (d.kind == RouteKind::kRerouted) {
+      obs::Span hop;
+      hop.parent = id;
+      hop.start_min = d.arrival_min;
+      hop.end_min = d.arrival_min + d.transit_min;
+      hop.phase = obs::SpanPhase::kReroute;
+      hop.channel = static_cast<std::int32_t>(d.served_by);
+      hop.video = d.video;
+      hop.client = ordinal;
+      hop.value = d.transit_min;
+      sink->spans.record(hop);
+    }
+  }
+};
+
+/// One campaign with its region sinks not yet folded, so the replicated
+/// runner can fold every replication's sinks in (replication, region)
+/// order after its join.
+struct FederationRun {
+  FederationReport report;
+  std::vector<std::unique_ptr<obs::Sink>> sinks;  ///< empty when unobserved
+};
+
+FederationRun run_federation(const Topology& topology,
+                             const FederationConfig& config) {
   const std::size_t n = topology.size();
   if (!config.fault_plans.empty() && config.fault_plans.size() != n) {
     throw std::invalid_argument(
@@ -84,25 +199,21 @@ FederationReport simulate_federation(const Topology& topology,
     tail_slots_total += tail_slots[r];
   }
 
-  // Phase A — per-region workload. Region g's seed is the (g+1)-th output
-  // of SplitMix64(config.seed), derived up front so the schedule does not
-  // depend on execution order.
+  // Region g draws its stream from a private Rng seeded with the (g+1)-th
+  // output of SplitMix64(config.seed); each region holds a one-request
+  // lookahead into its stream.
   util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(n);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
+  std::vector<workload::RequestGenerator> generators;
+  std::vector<workload::Request> lookahead;
+  generators.reserve(n);
+  lookahead.reserve(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    generators.emplace_back(solver.popularity(),
+                            topology.region(g).arrivals_per_minute,
+                            util::Rng(seed_stream.next()));
+    lookahead.push_back(generators.back().next());
   }
-  std::vector<std::vector<workload::Request>> streams(n);
-  util::parallel_for_each(pool, n, [&](std::size_t g) {
-    workload::RequestGenerator gen(solver.popularity(),
-                                   topology.region(g).arrivals_per_minute,
-                                   util::Rng(seeds[g]));
-    streams[g] = gen.generate_until(config.horizon);
-  });
 
-  // Phase B — serial routing over the k-way time-ordered merge (ties break
-  // on the lower region index). The router's link/slot state is the one
-  // genuinely shared structure, so it gets exactly one writer.
   RouterConfig router_config;
   router_config.video = config.video;
   router_config.patience = config.patience;
@@ -110,163 +221,88 @@ FederationReport simulate_federation(const Topology& topology,
   router_config.fault_plans = &config.fault_plans;
   Router router(topology, placement, tail_slots, router_config);
 
-  std::vector<std::vector<RouteDecision>> per_origin(n);
-  std::vector<std::uint64_t> rerouted_in(n, 0);
-  std::vector<std::size_t> cursor(n, 0);
-  for (;;) {
-    std::size_t next = n;
-    double best = 0.0;
-    for (std::size_t g = 0; g < n; ++g) {
-      if (cursor[g] >= streams[g].size()) {
-        continue;
-      }
-      const double at = streams[g][cursor[g]].arrival.v;
-      if (next == n || at < best) {
-        next = g;
-        best = at;
-      }
-    }
-    if (next == n) {
-      break;
-    }
-    const auto& req = streams[next][cursor[next]++];
-    const RouteDecision d = router.route(
-        Arrival{req.arrival, req.video, static_cast<std::uint32_t>(next)});
-    if (d.kind == RouteKind::kRerouted) {
-      ++rerouted_in[d.served_by];
-    }
-    per_origin[next].push_back(d);
+  std::vector<RegionLedger> ledgers;
+  ledgers.reserve(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    ledgers.emplace_back(g, config);
   }
 
-  // Phase C — per-region accounting into private sinks/distributions.
-  std::vector<RegionReport> region_reports(n);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(n);
-  util::parallel_for_each(pool, n, [&](std::size_t g) {
-    auto& report = region_reports[g];
-    report.wait_minutes.set_sample_cap(config.stats_sample_cap);
-    report.rerouted_in = rerouted_in[g];
-
-    obs::Counter* arrivals_total = nullptr;
-    obs::Counter* region_arrivals = nullptr;
-    obs::Counter* served_local = nullptr;
-    obs::Counter* rerouted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* link_bytes = nullptr;
-    obs::Sink* sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[g] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      sink = sinks[g].get();
-      auto& reg = sink->metrics;
-      const std::string label = std::to_string(g);
-      arrivals_total = &reg.counter("metro.arrivals");
-      region_arrivals =
-          &reg.counter_family("metro.region_arrivals", {"region"})
-               .with({label});
-      served_local =
-          &reg.counter_family("metro.served_local", {"region"}).with({label});
-      rerouted =
-          &reg.counter_family("metro.rerouted", {"region"}).with({label});
-      rejected =
-          &reg.counter_family("metro.rejected", {"region"}).with({label});
-      link_bytes =
-          &reg.counter_family("metro.link_bytes", {"region"}).with({label});
-    }
-
-    std::uint64_t ordinal = 0;
-    for (const auto& d : per_origin[g]) {
-      ++ordinal;
-      double wait = 0.0;
-      switch (d.kind) {
-        case RouteKind::kRejected:
-          wait = config.reject_penalty.v;
-          ++report.rejected;
-          break;
-        case RouteKind::kLocal:
-        case RouteKind::kRerouted:
-          wait = d.transit_min +
-                 (d.broadcast ? tune_wait(d.arrival_min + d.transit_min, d1)
-                              : d.queue_wait_min);
-          if (d.kind == RouteKind::kLocal) {
-            ++report.served_local;
-          } else {
-            ++report.rerouted_out;
+  // The streams meet in one k-way time-ordered merge (ties break on the
+  // lower region index) and pass through the router, whose shared link and
+  // slot state demands one writer; each decision is accounted to its origin
+  // region's ledger as it is made.
+  std::size_t next_region = n;
+  sim::EventQueue events;
+  events.run_until(
+      config.horizon.v,
+      [&] {
+        next_region = n;
+        double best = sim::EventQueue::kNoArrival;
+        for (std::size_t g = 0; g < n; ++g) {
+          const double at = lookahead[g].arrival.v;
+          if (at < config.horizon.v && at < best) {
+            next_region = g;
+            best = at;
           }
-          break;
-      }
-      ++report.arrivals;
-      report.link_mbits += d.link_mbits;
-      report.wait_minutes.add(wait);
-
-      if (sink != nullptr) {
-        arrivals_total->add();
-        region_arrivals->add();
-        switch (d.kind) {
-          case RouteKind::kLocal:
-            served_local->add();
-            break;
-          case RouteKind::kRerouted:
-            rerouted->add();
-            break;
-          case RouteKind::kRejected:
-            rejected->add();
-            break;
         }
-        if (d.link_mbits > 0.0) {
-          link_bytes->add(mbits_to_bytes(d.link_mbits));
-        }
-        obs::Span session;
-        session.start_min = d.arrival_min;
-        session.end_min = d.kind == RouteKind::kRejected
-                              ? d.arrival_min
-                              : d.arrival_min + wait + config.video.duration.v;
-        session.phase = obs::SpanPhase::kRegionSession;
-        session.channel = static_cast<std::int32_t>(d.served_by);
-        session.video = d.video;
-        session.client = ordinal;
-        session.value = wait;
-        const auto id = sink->spans.record(session);
+        return best;
+      },
+      [&] {
+        const auto& req = lookahead[next_region];
+        const RouteDecision d = router.route(
+            Arrival{req.arrival, req.video,
+                    static_cast<std::uint32_t>(next_region)});
         if (d.kind == RouteKind::kRerouted) {
-          obs::Span hop;
-          hop.parent = id;
-          hop.start_min = d.arrival_min;
-          hop.end_min = d.arrival_min + d.transit_min;
-          hop.phase = obs::SpanPhase::kReroute;
-          hop.channel = static_cast<std::int32_t>(d.served_by);
-          hop.video = d.video;
-          hop.client = ordinal;
-          hop.value = d.transit_min;
-          sink->spans.record(hop);
+          ++ledgers[d.served_by].report.rerouted_in;
         }
-      }
-    }
-    if (sink != nullptr) {
-      obs::publish_drop_metrics(*sink);
-    }
-  });
+        ledgers[next_region].record(d, config, d1);
+        lookahead[next_region] = generators[next_region].next();
+      });
 
-  // Phase D — fold in region index order.
-  FederationReport out;
-  out.regions = std::move(region_reports);
+  // Fold in region index order.
+  FederationRun run;
+  FederationReport& out = run.report;
   out.wait_minutes.set_sample_cap(config.stats_sample_cap);
   out.replicated_titles = placement.replicated;
   out.tail_slots_total = tail_slots_total;
   out.broadcast_latency_min = d1;
-  for (std::size_t g = 0; g < n; ++g) {
-    const auto& r = out.regions[g];
+  for (auto& ledger : ledgers) {
+    const auto& r = ledger.report;
     out.arrivals += r.arrivals;
     out.served_local += r.served_local;
     out.rerouted += r.rerouted_out;
     out.rejected += r.rejected;
     out.link_mbits += r.link_mbits;
     out.wait_minutes.merge(r.wait_minutes);
-    if (config.sink != nullptr) {
-      config.sink->metrics.merge_from(sinks[g]->metrics);
-      config.sink->trace.merge_from(sinks[g]->trace);
-      config.sink->spans.merge_from(sinks[g]->spans);
+    out.regions.push_back(std::move(ledger.report));
+    if (ledger.sink != nullptr) {
+      obs::publish_drop_metrics(*ledger.sink);
+      run.sinks.push_back(std::move(ledger.sink));
     }
   }
-  return out;
+  return run;
+}
+
+/// Folds region sinks into `into` in region index order.
+void fold_sinks(obs::Sink& into,
+                const std::vector<std::unique_ptr<obs::Sink>>& sinks) {
+  for (const auto& sink : sinks) {
+    into.metrics.merge_from(sink->metrics);
+    into.trace.merge_from(sink->trace);
+    into.spans.merge_from(sink->spans);
+  }
+}
+
+}  // namespace
+
+FederationReport simulate_federation(const Topology& topology,
+                                     const FederationConfig& config,
+                                     util::TaskPool* /*pool*/) {
+  FederationRun run = run_federation(topology, config);
+  if (config.sink != nullptr) {
+    fold_sinks(*config.sink, run.sinks);
+  }
+  return std::move(run.report);
 }
 
 ReplicatedFederationReport simulate_federation_replicated(
@@ -277,23 +313,26 @@ ReplicatedFederationReport simulate_federation_replicated(
         "metro federation needs at least one replication");
   }
   // Replication r's seed is the (r+1)-th SplitMix64 output. Replications
-  // run serially — the pool parallelizes regions *within* each — and every
-  // merge happens in replication order, so the result is bit-identical at
-  // any thread count.
+  // run concurrently on the pool, each into its own slot; every merge
+  // happens after the join in replication order, so the result is
+  // bit-identical at any thread count.
   util::SplitMix64 seed_stream(config.seed);
   std::vector<std::uint64_t> seeds(reps);
   for (auto& seed : seeds) {
     seed = seed_stream.next();
   }
+  std::vector<FederationRun> runs(reps);
+  util::parallel_for_each(pool, reps, [&](std::size_t r) {
+    FederationConfig rep_config = config;
+    rep_config.seed = seeds[r];
+    runs[r] = run_federation(topology, rep_config);
+  });
 
   ReplicatedFederationReport out;
   out.replications = reps;
   out.merged.wait_minutes.set_sample_cap(config.stats_sample_cap);
-  for (std::size_t r = 0; r < reps; ++r) {
-    FederationConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    const FederationReport rep =
-        simulate_federation(topology, rep_config, pool);
+  for (const auto& run : runs) {
+    const FederationReport& rep = run.report;
     if (out.merged.regions.empty()) {
       out.merged.regions.resize(rep.regions.size());
       for (auto& region : out.merged.regions) {
@@ -323,16 +362,11 @@ ReplicatedFederationReport simulate_federation_replicated(
     if (!rep.wait_minutes.empty()) {
       out.replication_mean_wait.add(rep.wait_minutes.mean());
     }
+    if (config.sink != nullptr) {
+      fold_sinks(*config.sink, run.sinks);
+    }
   }
-
-  const auto n = out.replication_mean_wait.count();
-  if (n >= 2) {
-    // Population -> sample stddev, then the normal-approximation interval.
-    const double pop = out.replication_mean_wait.stddev();
-    const double s = pop * std::sqrt(static_cast<double>(n) /
-                                     static_cast<double>(n - 1));
-    out.wait_mean_ci95 = 1.96 * s / std::sqrt(static_cast<double>(n));
-  }
+  out.wait_mean_ci95 = sim::mean_ci95(out.replication_mean_wait);
   return out;
 }
 

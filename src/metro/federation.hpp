@@ -1,31 +1,30 @@
 // metro::simulate_federation — the multi-head-end campaign driver.
 //
-// One federation run has four phases on the PR 3 slot/merge contract
-// (parallelism changes who computes a slot, never where results land):
+// One federation run is a single serial pass:
 //
-//   A. per-region workload (parallel, one region per util::TaskPool slot):
-//      region g draws its Poisson/Zipf request stream from a private Rng
-//      seeded with the (g+1)-th output of util::SplitMix64(config.seed);
-//   B. routing (serial): the per-region streams are k-way merged in time
-//      order (ties break on the lower region index) and fed through
-//      metro::Router, whose shared link/slot state demands one writer;
-//   C. per-region accounting (parallel): region g's slot walks the
-//      decisions for arrivals that originated there, computes each
-//      request's penalized wait (broadcast tune wait and/or tail admission
-//      wait, plus link transit, or the rejection penalty), and records
-//      metrics, spans and wait samples into a private obs::Sink and
-//      sim::Distribution;
-//   D. fold (serial): per-region sinks merge into config.sink via
-//      Registry::merge_from / SpanTracer::merge_from and per-region
-//      distributions merge metro-wide, all in region index order.
+//   * region g draws its Poisson/Zipf request stream lazily from a private
+//     Rng seeded with the (g+1)-th output of util::SplitMix64(config.seed),
+//     holding a one-request lookahead;
+//   * the lookaheads meet in a k-way time-ordered merge (ties break on the
+//     lower region index) driven by sim::EventQueue's arrival merge, and
+//     each arrival goes through metro::Router, whose shared link/slot state
+//     demands one writer;
+//   * each decision is accounted to its origin region at once: penalized
+//     wait (broadcast tune wait and/or tail admission wait, plus link
+//     transit, or the rejection penalty), metrics, spans and wait samples
+//     land in that region's private obs::Sink and sim::Distribution;
+//   * per-region sinks then merge into config.sink via
+//     Registry::merge_from / SpanTracer::merge_from, and per-region
+//     distributions merge metro-wide, all in region index order.
 //
-// The result is bit-identical at any thread count, including none.
+// Memory is O(regions) in the arrival count: no stream or decision vector
+// is materialized.
 //
 // Observability (docs/OBSERVABILITY.md): the unlabeled counter
 // `metro.arrivals` plus {region}-labeled families `metro.region_arrivals`,
 // `metro.served_local`, `metro.rerouted`, `metro.rejected` and
 // `metro.link_bytes`, all labeled by the ORIGIN region (demand-side
-// accounting, which is what keeps phase C single-writer); conservation
+// accounting, so each region's sink has one writer); conservation
 //
 //   sum(served_local) + sum(rerouted) + sum(rejected) == arrivals
 //
@@ -117,16 +116,19 @@ struct FederationReport {
 
 /// One federation campaign over `topology`. Throws std::invalid_argument
 /// on a malformed config (fault plan count, infeasible SB head design,
-/// non-positive horizon).
+/// non-positive horizon). The run is serial; `pool` is accepted for source
+/// compatibility and unused (replications are the parallel unit, see
+/// simulate_federation_replicated).
 [[nodiscard]] FederationReport simulate_federation(
     const Topology& topology, const FederationConfig& config,
     util::TaskPool* pool = nullptr);
 
-/// R independent federation replications, run serially with the pool
-/// applied inside each (regions stay the parallel unit). Replication r's
-/// seed is the (r+1)-th output of util::SplitMix64(config.seed); reports,
-/// distributions and sinks merge in replication order, so the result is
-/// bit-identical at any thread count.
+/// R independent federation replications, run concurrently on `pool` (one
+/// replication per slot; null = serial). Replication r's seed is the
+/// (r+1)-th output of util::SplitMix64(config.seed); after the join,
+/// reports, distributions and each replication's region sinks merge in
+/// (replication, region) order, so the result is bit-identical at any
+/// thread count.
 struct ReplicatedFederationReport {
   FederationReport merged;  ///< all replications folded in rep order
   std::size_t replications = 0;

@@ -1,6 +1,7 @@
 #include "series/broadcast_series.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -42,38 +43,50 @@ std::uint64_t BroadcastSeries::prefix_sum(int k, std::uint64_t width) const {
   return sum;
 }
 
+namespace {
+
+/// f(m) from f(m - 1) by the skyscraper recurrence (m >= 4); throws on
+/// 64-bit overflow.
+std::uint64_t skyscraper_step(int m, std::uint64_t prev) {
+  switch (m % 4) {
+    case 0:
+      return util::add_or_die(util::mul_or_die(2, prev), 1);
+    case 2:
+      return util::add_or_die(util::mul_or_die(2, prev), 2);
+    default:
+      return prev;
+  }
+}
+
+/// table[n] = f(n) for every n whose value fits in 64 bits; index 0 unused.
+/// Built on first use; the function-local static makes that thread-safe.
+const std::vector<std::uint64_t>& skyscraper_table() {
+  static const std::vector<std::uint64_t> table = [] {
+    std::vector<std::uint64_t> t{0, 1, 2, 2};
+    for (int m = 4;; ++m) {
+      // Even steps grow to 2 f(m-1) + 1 or + 2; stop before one overflows.
+      const std::uint64_t add = m % 4 == 0 ? 1 : 2;
+      if (m % 2 == 0 &&
+          t.back() > (std::numeric_limits<std::uint64_t>::max() - add) / 2) {
+        return t;
+      }
+      t.push_back(skyscraper_step(m, t.back()));
+    }
+  }();
+  return table;
+}
+
+}  // namespace
+
 std::uint64_t SkyscraperSeries::element(int n) const {
   VB_EXPECTS(n >= 1);
+  const auto& table = skyscraper_table();
   const auto idx = static_cast<std::size_t>(n);
-  while (memo_.size() <= idx) {
-    const int m = static_cast<int>(memo_.size());
-    std::uint64_t value = 0;
-    if (m == 1) {
-      value = 1;
-    } else if (m == 2 || m == 3) {
-      value = 2;
-    } else {
-      const std::uint64_t prev = memo_[static_cast<std::size_t>(m - 1)];
-      switch (m % 4) {
-        case 0:
-          value = util::add_or_die(util::mul_or_die(2, prev), 1);
-          break;
-        case 1:
-          value = prev;
-          break;
-        case 2:
-          value = util::add_or_die(util::mul_or_die(2, prev), 2);
-          break;
-        case 3:
-          value = prev;
-          break;
-        default:
-          VB_ASSERT(false);
-      }
-    }
-    memo_.push_back(value);
+  if (idx < table.size()) {
+    return table[idx];
   }
-  return memo_[idx];
+  // Past the table the recurrence overflows; the checked step throws.
+  return skyscraper_step(static_cast<int>(table.size()), table.back());
 }
 
 std::uint64_t FastSeries::element(int n) const {

@@ -51,14 +51,13 @@ class BroadcastSeries {
                                          std::uint64_t width = kUncapped) const;
 };
 
-/// The paper's skyscraper series. Thread-compatible; memoizes elements.
+/// The paper's skyscraper series. Thread-safe: element() reads one
+/// immutable table of every f(n) that fits in 64 bits, built once per
+/// process, so a scheme shared across pool workers never writes.
 class SkyscraperSeries final : public BroadcastSeries {
  public:
   [[nodiscard]] std::string name() const override { return "skyscraper"; }
   [[nodiscard]] std::uint64_t element(int n) const override;
-
- private:
-  mutable std::vector<std::uint64_t> memo_{0};  // memo_[n] = f(n); index 0 unused
 };
 
 /// Fast Broadcasting's doubling law [1, 2, 4, 8, ...]; implemented as the

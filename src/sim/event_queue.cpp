@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/sink.hpp"
-#include "obs/timer.hpp"
 
 namespace vodbcast::sim {
 
@@ -120,6 +119,11 @@ void EventQueue::run_until(SimTime until) {
     step();
   }
   now_ = std::max(now_, until);
+}
+
+void EventQueue::note_arrival() {
+  scheduled_->add();
+  fired_->add();
 }
 
 void EventQueue::note_scheduled(bool spilled) {

@@ -211,11 +211,10 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
     }
   }
 
-  // One event per client arrival, driven through the discrete-event engine.
-  // Arrivals are generated in nondecreasing time and equal-time events fire
-  // in insertion order, so the report is identical to a plain loop — but
-  // the run now exercises (and is metered by) the same engine as the
-  // batching server, and future server-side events interleave naturally.
+  // Client arrivals stream through the event engine's arrival merge: each
+  // is pulled from the generator when the clock reaches it, so memory stays
+  // O(1) in the arrival count while the run is metered by (and interleaves
+  // with) the same engine as the batching server.
   const auto handle_arrival = [&](const workload::Request& request) {
     probes.advance(request.arrival.v);
     const auto start =
@@ -432,12 +431,17 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
 
   EventQueue events;
   events.attach_sink(sink);
-  for (const auto& request : generator.generate_until(config.horizon)) {
-    // 24-byte capture: handler pointer + request, inside the inline budget.
-    events.schedule(request.arrival.v,
-                    [&handle_arrival, request] { handle_arrival(request); });
-  }
-  events.run_until(config.horizon.v);
+  workload::Request next = generator.next();
+  events.run_until(
+      config.horizon.v,
+      [&] {
+        return next.arrival.v < config.horizon.v ? next.arrival.v
+                                                 : EventQueue::kNoArrival;
+      },
+      [&] {
+        handle_arrival(next);
+        next = generator.next();
+      });
 
   probes.advance(config.horizon.v);
   if (sink != nullptr) {
@@ -527,14 +531,7 @@ ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
     }
   }
 
-  const auto n = result.replication_mean_latency.count();
-  if (n >= 2) {
-    // Population -> sample stddev, then the normal-approximation interval.
-    const double pop = result.replication_mean_latency.stddev();
-    const double s = pop * std::sqrt(static_cast<double>(n) /
-                                     static_cast<double>(n - 1));
-    result.latency_mean_ci95 = 1.96 * s / std::sqrt(static_cast<double>(n));
-  }
+  result.latency_mean_ci95 = mean_ci95(result.replication_mean_latency);
   return result;
 }
 

@@ -223,4 +223,15 @@ std::string Distribution::summary() const {
   return out;
 }
 
+double mean_ci95(const Distribution& means) {
+  const auto n = means.count();
+  if (n < 2) {
+    return 0.0;
+  }
+  // Population -> sample stddev, then the normal-approximation interval.
+  const double s = means.stddev() * std::sqrt(static_cast<double>(n) /
+                                              static_cast<double>(n - 1));
+  return 1.96 * s / std::sqrt(static_cast<double>(n));
+}
+
 }  // namespace vodbcast::sim

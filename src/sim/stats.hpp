@@ -118,4 +118,9 @@ class Distribution {
   double welford_m2_ = 0.0;
 };
 
+/// 95% confidence half-width on the mean of `means`, one sample per
+/// replication: 1.96 * s / sqrt(n) with s the sample (n - 1) standard
+/// deviation, under the normal approximation. 0 when n < 2.
+[[nodiscard]] double mean_ci95(const Distribution& means);
+
 }  // namespace vodbcast::sim

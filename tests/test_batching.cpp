@@ -2,6 +2,7 @@
 
 #include "batching/queue_policies.hpp"
 #include "batching/scheduled_multicast.hpp"
+#include "obs/sink.hpp"
 #include "util/contracts.hpp"
 #include "workload/zipf.hpp"
 
@@ -135,6 +136,56 @@ TEST(ScheduledMulticastTest, RejectsOutOfRangeVideoIds) {
   EXPECT_THROW(
       (void)simulate_scheduled_multicast(MqlPolicy(), requests, 3, config),
       util::ContractViolation);
+}
+
+// The run walks the request vector with a cursor; an out-of-order stream
+// is a caller error, rejected before any simulation work.
+TEST(ScheduledMulticastTest, RejectsOutOfOrderArrivals) {
+  MulticastConfig config;
+  std::vector<workload::Request> requests{
+      {.arrival = core::Minutes{2.0}, .video = 0},
+      {.arrival = core::Minutes{1.0}, .video = 1}};
+  EXPECT_THROW(
+      (void)simulate_scheduled_multicast(MqlPolicy(), requests, 3, config),
+      util::ContractViolation);
+}
+
+TEST(ScheduledMulticastTest, AcceptsEqualArrivalTimes) {
+  MulticastConfig config;
+  config.channels = 1;
+  std::vector<workload::Request> requests{
+      {.arrival = core::Minutes{1.0}, .video = 0},
+      {.arrival = core::Minutes{1.0}, .video = 0}};
+  const auto report =
+      simulate_scheduled_multicast(MqlPolicy(), requests, 3, config);
+  // The first arrival dispatches before the second queues behind it.
+  EXPECT_EQ(report.served, 2U);
+  EXPECT_EQ(report.streams_started, 2U);
+  EXPECT_EQ(report.batch_size.max(), 1.0);
+}
+
+// Pending events are channel releases only: the peak stays within the
+// channel count however long the run.
+TEST(ScheduledMulticastTest, PendingPeakFlatWhenHorizonDoubles) {
+  std::vector<double> peaks;
+  for (const double horizon : {600.0, 1200.0}) {
+    obs::Sink sink;
+    const auto requests = uniform_requests(4.0, horizon, 30, 3);
+    MulticastConfig config;
+    config.channels = 12;
+    config.video_length = core::Minutes{90.0};
+    config.horizon = core::Minutes{horizon};
+    config.sink = &sink;
+    (void)simulate_scheduled_multicast(MqlPolicy(), requests, 30, config);
+    for (const auto& [name, value] : sink.metrics.snapshot().gauges) {
+      if (name == "sim.event_queue.pending_peak") {
+        peaks.push_back(value);
+      }
+    }
+  }
+  ASSERT_EQ(peaks.size(), 2U);
+  EXPECT_LE(peaks[0], 12.0);
+  EXPECT_EQ(peaks[1], peaks[0]);
 }
 
 }  // namespace

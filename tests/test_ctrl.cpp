@@ -403,5 +403,31 @@ TEST(AdaptiveSimTest, ReplicationsDifferButSeedsReproduce) {
   EXPECT_GT(a.wait_mean_ci95, 0.0);
 }
 
+// Arrivals stream through the event engine's arrival merge, so pending
+// events are only channel releases, drains and control-plane timers: the
+// peak is bounded by the configuration, not by the arrival count.
+TEST(AdaptiveSimTest, PendingPeakBoundedWhenHorizonDoubles) {
+  auto config = adaptive_config();
+  const double bound =
+      config.total_bandwidth.v / config.video.display_rate.v +
+      static_cast<double>(config.catalog_size) + 2.0;
+  for (const double horizon : {600.0, 1200.0}) {
+    obs::Sink sink;
+    config.horizon = core::Minutes{horizon};
+    config.flip_at = core::Minutes{horizon / 2.0};
+    config.sink = &sink;
+    const auto report = ctrl::simulate_adaptive(batching::MqlPolicy(), config);
+    double peak = -1.0;
+    for (const auto& [name, value] : sink.metrics.snapshot().gauges) {
+      if (name == "sim.event_queue.pending_peak") {
+        peak = value;
+      }
+    }
+    EXPECT_GT(report.served_hot + report.served_tail, 3000U);
+    EXPECT_GE(peak, 1.0);
+    EXPECT_LE(peak, bound) << "horizon " << horizon;
+  }
+}
+
 }  // namespace
 }  // namespace vodbcast

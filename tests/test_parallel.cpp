@@ -3,6 +3,7 @@
 // path (null pool) against a many-worker pool bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -531,6 +532,50 @@ TEST(ShardMergeTest, KWayFoldIsIdenticalForAnyShardCount) {
     EXPECT_EQ(folded.first, baseline.first) << "K=" << shards;
     EXPECT_EQ(folded.second, baseline.second) << "K=" << shards;
   }
+}
+
+/// The CI95 half-width computed from scratch: sample (n - 1) standard
+/// deviation of the replication means, times 1.96 / sqrt(n).
+double hand_ci95(const std::vector<double>& means) {
+  const auto n = static_cast<double>(means.size());
+  double mean = 0.0;
+  for (const double m : means) {
+    mean += m / n;
+  }
+  double squares = 0.0;
+  for (const double m : means) {
+    squares += (m - mean) * (m - mean);
+  }
+  return 1.96 * std::sqrt(squares / (n - 1.0)) / std::sqrt(n);
+}
+
+// All three replicated runners report the same interval: the sample-stddev
+// half-width over their replication means (sim::mean_ci95).
+TEST(ReplicatedCi95Test, EveryRunnerUsesTheSampleInterval) {
+  const auto scheme = schemes::make_scheme("SB:W=52");
+  const auto sim_run = sim::simulate_replicated(
+      *scheme, analysis::paper_design_input(300.0),
+      replication_config(nullptr), 3, nullptr);
+  const auto& sim_means = sim_run.replication_mean_latency.samples();
+  ASSERT_EQ(sim_means.size(), 3U);
+  EXPECT_NEAR(sim_run.latency_mean_ci95, hand_ci95(sim_means), 1e-12);
+
+  ctrl::AdaptiveConfig adaptive;
+  adaptive.horizon = core::Minutes{300.0};
+  adaptive.arrivals_per_minute = 2.0;
+  const auto ctrl_run = ctrl::simulate_adaptive_replicated(
+      batching::MqlPolicy(), adaptive, 3, nullptr);
+  const auto& ctrl_means = ctrl_run.replication_mean_wait.samples();
+  ASSERT_EQ(ctrl_means.size(), 3U);
+  EXPECT_NEAR(ctrl_run.wait_mean_ci95, hand_ci95(ctrl_means), 1e-12);
+
+  const metro::Topology topology(
+      {{3.0, 60}, {2.0, 60}, {1.5, 60}, {1.0, 60}}, 8, core::Minutes{0.5});
+  const auto metro_run = metro::simulate_federation_replicated(
+      topology, federation_config(nullptr), 3, nullptr);
+  const auto& metro_means = metro_run.replication_mean_wait.samples();
+  ASSERT_EQ(metro_means.size(), 3U);
+  EXPECT_NEAR(metro_run.wait_mean_ci95, hand_ci95(metro_means), 1e-12);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "schemes/skyscraper.hpp"
 #include "util/contracts.hpp"
+#include "util/task_pool.hpp"
 
 namespace vodbcast::series {
 namespace {
@@ -166,6 +168,72 @@ TEST_P(SkyscraperGrowthTest, GrowthFactorStaysBelowFour) {
 
 INSTANTIATE_TEST_SUITE_P(GrowthSweep, SkyscraperGrowthTest,
                          ::testing::Range(2, 40, 2));
+
+// One instance shared by many pool workers, as a scheme is shared by a
+// pooled bandwidth sweep: every worker must read the same values and
+// (under TSan) no worker may write shared state. Each round starts from a
+// fresh instance so first reads race one another.
+TEST(SkyscraperSeriesTest, SharedInstanceIsSafeAcrossPoolWorkers) {
+  constexpr int kLength = 90;
+  const auto expected = SkyscraperSeries().prefix(kLength);
+  util::TaskPool pool(8);
+  for (int round = 0; round < 200; ++round) {
+    const SkyscraperSeries shared;
+    std::vector<std::vector<std::uint64_t>> out(16);
+    util::parallel_for_each(&pool, out.size(), [&](std::size_t i) {
+      out[i] = shared.prefix(kLength);
+    });
+    for (const auto& values : out) {
+      ASSERT_EQ(values, expected) << "round " << round;
+    }
+  }
+}
+
+// The whole schemes layer on top: one SB scheme evaluated concurrently
+// at every bandwidth matches a serial pass.
+TEST(SkyscraperSeriesTest, SharedSchemeEvaluatesIdenticallyOnAPool) {
+  const schemes::SkyscraperScheme shared(1705);
+  constexpr std::size_t kPoints = 256;
+  const auto input_at = [](std::size_t i) {
+    return schemes::DesignInput{
+        .server_bandwidth =
+            core::MbitPerSec{60.0 + 2.5 * static_cast<double>(i)},
+        .num_videos = 10,
+        .video =
+            core::VideoParams{core::Minutes{120.0}, core::MbitPerSec{1.5}},
+    };
+  };
+  std::vector<double> latency(kPoints, -1.0);
+  util::TaskPool pool(8);
+  util::parallel_for_each(&pool, kPoints, [&](std::size_t i) {
+    const auto eval = shared.evaluate(input_at(i));
+    latency[i] = eval.has_value() ? eval->metrics.access_latency.v : 0.0;
+  });
+  const schemes::SkyscraperScheme serial(1705);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const auto eval = serial.evaluate(input_at(i));
+    EXPECT_EQ(latency[i], eval.has_value() ? eval->metrics.access_latency.v
+                                           : 0.0)
+        << "point " << i;
+  }
+}
+
+// Past the last 64-bit value the recurrence overflows loudly.
+TEST(SkyscraperSeriesTest, OverflowThrows) {
+  const SkyscraperSeries s;
+  int last = 1;
+  while (true) {
+    try {
+      (void)s.element(last + 1);
+    } catch (const util::ContractViolation&) {
+      break;
+    }
+    ++last;
+  }
+  EXPECT_GT(s.element(last), std::uint64_t{1} << 62);
+  EXPECT_THROW((void)s.element(last + 1), util::ContractViolation);
+  EXPECT_THROW((void)s.element(last + 50), util::ContractViolation);
+}
 
 }  // namespace
 }  // namespace vodbcast::series

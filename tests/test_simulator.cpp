@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/sink.hpp"
 #include "schemes/pyramid.hpp"
 #include "schemes/skyscraper.hpp"
 #include "schemes/staggered.hpp"
@@ -106,6 +110,38 @@ TEST(SimulatorTest, DeterministicForFixedSeed) {
   const auto b = simulate(sb, input, config);
   EXPECT_EQ(a.clients_served, b.clients_served);
   EXPECT_DOUBLE_EQ(a.latency_minutes.mean(), b.latency_minutes.mean());
+}
+
+/// Reads one unlabeled gauge from `sink`'s registry; -1 when absent.
+double gauge_value(const obs::Sink& sink, const std::string& name) {
+  for (const auto& [key, value] : sink.metrics.snapshot().gauges) {
+    if (key == name) {
+      return value;
+    }
+  }
+  return -1.0;
+}
+
+// Arrivals stream through the event engine's arrival merge instead of
+// waiting in its heap, so queue occupancy does not grow with the horizon.
+TEST(SimulatorTest, PendingPeakFlatWhenHorizonDoubles) {
+  const schemes::SkyscraperScheme sb(52);
+  const auto input = paper_input(300.0);
+  std::vector<double> peaks;
+  std::vector<std::uint64_t> served;
+  for (const double horizon : {300.0, 600.0}) {
+    obs::Sink sink;
+    SimulationConfig config;
+    config.horizon = core::Minutes{horizon};
+    config.arrivals_per_minute = 5.0;
+    config.sink = &sink;
+    served.push_back(simulate(sb, input, config).clients_served);
+    peaks.push_back(gauge_value(sink, "sim.event_queue.pending_peak"));
+    EXPECT_EQ(gauge_value(sink, "sim.event_queue.slab_slots"), 0.0);
+  }
+  EXPECT_GT(served[1], served[0] * 3 / 2);
+  EXPECT_EQ(peaks[0], 0.0);
+  EXPECT_EQ(peaks[1], peaks[0]);
 }
 
 }  // namespace

@@ -339,5 +339,23 @@ TEST(StreamingDistributionTest, LateCapOnOversizedSetFoldsImmediately) {
   EXPECT_DOUBLE_EQ(d.mean(), 50.5);
 }
 
+// Hand-computed: means {1, 2, 3, 4} have mean 2.5, squared deviations
+// summing to 5, sample variance 5/3, so the half-width is
+// 1.96 * sqrt(5/3) / sqrt(4) = 1.2651745597610895.
+TEST(MeanCi95Test, HandComputedSampleInterval) {
+  Distribution means;
+  for (const double m : {1.0, 2.0, 3.0, 4.0}) {
+    means.add(m);
+  }
+  EXPECT_NEAR(mean_ci95(means), 1.2651745597610895, 1e-15);
+}
+
+TEST(MeanCi95Test, UndefinedBelowTwoSamplesIsZero) {
+  Distribution means;
+  EXPECT_EQ(mean_ci95(means), 0.0);
+  means.add(7.0);
+  EXPECT_EQ(mean_ci95(means), 0.0);
+}
+
 }  // namespace
 }  // namespace vodbcast::sim
