@@ -9,8 +9,9 @@
 #               simulate_replicated, simulate_adaptive_replicated and
 #               simulate_federation_replicated runs, the pooled bandwidth
 #               sweep over shared schemes and series, the event engine's
-#               arrival merge and the batching server (the data races
-#               serial ctest cannot see).
+#               arrival merge, the batching server, and the quantile sketch
+#               under concurrent observes plus the streaming stats that fold
+#               into it (the data races serial ctest cannot see).
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -62,7 +63,7 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
     test_metro test_series test_analysis test_event_queue test_batching \
-    test_engine_golden
+    test_engine_golden test_obs_sketch test_stats
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
@@ -74,6 +75,8 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_event_queue
   ./build-tsan/tests/test_batching
   ./build-tsan/tests/test_engine_golden
+  ./build-tsan/tests/test_obs_sketch
+  ./build-tsan/tests/test_stats
 fi
 
 echo "sanitize verify ($mode): OK"

@@ -1,5 +1,6 @@
 #include "fault/injector.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/contracts.hpp"
@@ -80,6 +81,16 @@ DownloadDamage assess_download(const Injector* injector, double start_min,
   VB_EXPECTS(period_min > 0.0);
   const Plan& plan = injector->plan();
   damage.repaired_at_min = end_min;
+  // Most windows touch no episode at all: answer those clean before any
+  // per-kind scan or private stream is set up. Exact, because a burst only
+  // draws when its overlap is positive and stalls are never channel-scoped.
+  const bool touched = std::any_of(
+      plan.episodes().begin(), plan.episodes().end(), [&](const Episode& e) {
+        return e.hits_channel(channel) && e.overlaps(start_min, end_min);
+      });
+  if (!touched) {
+    return damage;
+  }
 
   std::size_t hit = plan.first_hit(EpisodeKind::kChannelOutage, start_min,
                                    end_min, channel);

@@ -80,6 +80,11 @@ Plan::Plan(std::vector<Episode> episodes, std::uint64_t seed)
     : episodes_(std::move(episodes)), seed_(seed) {
   for (const auto& e : episodes_) {
     VB_EXPECTS(e.end_min >= e.start_min);
+    // Stalls and restarts hit every channel; the window queries (and
+    // assess_download's early-out) rely on that.
+    VB_EXPECTS_MSG(e.channel == -1 || (e.kind != EpisodeKind::kDiskStall &&
+                                       e.kind != EpisodeKind::kServerRestart),
+                   "disk stalls and server restarts are not channel-scoped");
   }
   std::stable_sort(episodes_.begin(), episodes_.end(),
                    [](const Episode& a, const Episode& b) {

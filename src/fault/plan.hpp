@@ -87,6 +87,7 @@ class Plan {
 
   /// A hand-built plan (episodes are sorted by start time; the sorted
   /// position is the episode's stable index in every metric and trace).
+  /// Precondition: every disk stall and server restart has channel -1.
   Plan(std::vector<Episode> episodes, std::uint64_t seed);
 
   /// Generates a plan from `spec`. Determinism contract: the k-th episode

@@ -20,11 +20,25 @@
 //     collapsed() counts how many times that happened;
 //   * non-negative domain — waits, gaps and durations are >= 0. Samples
 //     below the minimum trackable value (including any negative input)
-//     land in a dedicated zero bucket whose estimate is exactly 0.
+//     land in a dedicated zero bucket whose estimate is exactly 0;
+//   * any-thread — every member takes the sketch's mutex.
+//
+// Storage: a dense array of counts indexed by (bucket index - offset),
+// grown at either end as samples arrive, so an observe is one log, one
+// array increment and no allocation once the range is covered. A running
+// count of non-zero entries stands in for the tracked-bucket count, and a
+// low-water cursor marks the lowest entry that can be non-zero, so a
+// collapse never rescans the zeros it left behind. The array spans the
+// observed index range, not the bucket budget: (ln(max) - ln(min)) / ln(gamma)
+// entries of 8 bytes. At a = 0.01 the range [1e-9, 1e12] is ~2.4k entries
+// (~19 KB); the whole finite double range above the floor is ~36.5k
+// entries (~290 KB), the worst case. Non-finite samples count in the
+// bucket of the largest finite double.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -71,6 +85,8 @@ class QuantileSketch {
   [[nodiscard]] std::size_t bucket_count() const;
   /// Times the bucket budget forced a collapse of the lowest buckets.
   [[nodiscard]] std::uint64_t collapsed() const;
+  /// Heap bytes held by the bucket array (its capacity, zeros included).
+  [[nodiscard]] std::size_t retained_bytes() const;
 
   [[nodiscard]] double relative_accuracy() const noexcept {
     return options_.relative_accuracy;
@@ -87,13 +103,34 @@ class QuantileSketch {
 
  private:
   [[nodiscard]] std::int32_t index_of(double sample) const noexcept;
+  /// Adds `n` to bucket `index`, growing the array to cover it. Defined
+  /// here so observe's fast path inlines it.
+  void add_to_bucket(std::int32_t index, std::uint64_t n) {
+    // An index below offset_ wraps to a huge position: one compare covers
+    // both ends and the empty array.
+    auto pos = static_cast<std::size_t>(index - offset_);
+    if (pos >= counts_.size()) {
+      pos = grow_to_cover(index);
+    }
+    auto& slot = counts_[pos];
+    if (slot == 0) {
+      ++nonzero_;
+      low_ = std::min(low_, pos);
+    }
+    slot += n;
+  }
+  /// Grows the array to cover `index`; returns its position.
+  std::size_t grow_to_cover(std::int32_t index);
   void collapse_to_budget();
 
   Options options_;
   double gamma_;
   double log_gamma_;
   mutable std::mutex mutex_;
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  std::vector<std::uint64_t> counts_;  ///< counts_[i] is bucket offset_ + i
+  std::int64_t offset_ = 0;
+  std::size_t nonzero_ = 0;  ///< non-zero entries of counts_
+  std::size_t low_ = 0;      ///< counts_[i] == 0 for every i < low_
   std::uint64_t zero_count_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

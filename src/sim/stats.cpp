@@ -9,13 +9,6 @@
 
 namespace vodbcast::sim {
 
-namespace {
-
-/// One sketch bucket lives in a std::map node: key + count + tree overhead.
-constexpr std::size_t kSketchBucketBytes = 48;
-
-}  // namespace
-
 Distribution::Distribution(const Distribution& other)
     : samples_(other.samples_),
       cap_(other.cap_),
@@ -181,7 +174,7 @@ double Distribution::stddev() const {
 std::size_t Distribution::retained_bytes() const noexcept {
   std::size_t bytes = samples_.capacity() * sizeof(double);
   if (sketch_ != nullptr) {
-    bytes += sketch_->bucket_count() * kSketchBucketBytes;
+    bytes += sizeof(obs::QuantileSketch) + sketch_->retained_bytes();
   }
   return bytes;
 }

@@ -86,9 +86,10 @@ class Distribution {
   /// 0 for fewer than two samples.
   [[nodiscard]] double stddev() const;
 
-  /// Heap bytes retained by this distribution right now (sample storage
-  /// plus sketch buckets). Quantile calls sort into a scratch copy that is
-  /// freed before returning, so this is also the post-query high water.
+  /// Heap bytes retained by this distribution right now: sample storage
+  /// capacity, plus the sketch object and its bucket array's capacity once
+  /// folded. Quantile calls sort into a scratch copy that is freed before
+  /// returning, so this is also the post-query high water.
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
   /// Equal-width bins spanning [min(), max()]; the top edge is inclusive so

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "batching/queue_policies.hpp"
 #include "ctrl/adaptive.hpp"
@@ -358,6 +359,69 @@ TEST(AssessDownloadTest, VerdictIsAPureFunctionOfSeedAndKey) {
   EXPECT_EQ(a.repaired, b.repaired);
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.repaired_at_min, b.repaired_at_min);
+}
+
+TEST(AssessDownloadTest, WindowTouchingNoEpisodeIsClean) {
+  // An outage and a burst on channel 2, a stall at 30: a channel-5 window
+  // before the stall, and a channel-2 window between the episodes, touch
+  // nothing and come back with the clean verdict.
+  std::vector<Episode> episodes;
+  episodes.push_back(Episode{.kind = EpisodeKind::kChannelOutage,
+                             .start_min = 5.0,
+                             .end_min = 8.0,
+                             .channel = 2});
+  episodes.push_back(Episode{.kind = EpisodeKind::kLossBurst,
+                             .start_min = 12.0,
+                             .end_min = 14.0,
+                             .channel = 2,
+                             .burst = {.p_good_to_bad = 1.0,
+                                       .p_bad_to_good = 0.0,
+                                       .loss_good = 1.0,
+                                       .loss_bad = 1.0}});
+  episodes.push_back(Episode{.kind = EpisodeKind::kDiskStall,
+                             .start_min = 30.0,
+                             .end_min = 31.0,
+                             .channel = -1});
+  const Injector injector{Plan(std::move(episodes), 1)};
+  for (const auto& [a, b, ch] : {std::tuple{0.0, 20.0, 5},
+                                 std::tuple{8.0, 12.0, 2},
+                                 std::tuple{31.0, 40.0, 2}}) {
+    const auto damage = assess_download(&injector, a, b, ch, 10.0, 7);
+    EXPECT_FALSE(damage.damaged) << a << ".." << b << " ch" << ch;
+    EXPECT_FALSE(damage.repaired);
+    EXPECT_EQ(damage.episode, Plan::npos);
+    EXPECT_EQ(damage.retries, 0);
+    EXPECT_EQ(damage.repaired_at_min, b);
+  }
+  // The same stall delays a window on any channel, naming its episode.
+  const auto stalled = assess_download(&injector, 29.0, 40.0, 5, 10.0, 7);
+  EXPECT_TRUE(stalled.damaged);
+  EXPECT_TRUE(stalled.repaired);
+  EXPECT_EQ(stalled.episode, 2U);
+  EXPECT_NEAR(stalled.repaired_at_min, 41.0, 1e-12);
+}
+
+TEST(FaultPlanTest, RejectsChannelScopedStallsAndRestarts) {
+  // A stall on channel 3 used to pass, then report a channel-5 window as
+  // damaged by episode npos (stall_overlap ignored the channel, first_hit
+  // did not).
+  for (const auto kind :
+       {EpisodeKind::kDiskStall, EpisodeKind::kServerRestart}) {
+    std::vector<Episode> episodes;
+    episodes.push_back(Episode{.kind = kind,
+                               .start_min = 10.0,
+                               .end_min = 12.0,
+                               .channel = 3});
+    EXPECT_THROW(Plan(std::move(episodes), 1), util::ContractViolation)
+        << to_string(kind);
+  }
+  // Outages and bursts stay channel-scoped.
+  std::vector<Episode> scoped;
+  scoped.push_back(Episode{.kind = EpisodeKind::kChannelOutage,
+                           .start_min = 10.0,
+                           .end_min = 12.0,
+                           .channel = 3});
+  EXPECT_NO_THROW(Plan(std::move(scoped), 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -216,6 +216,28 @@ TEST(StreamingDistributionTest, RetainedBytesReflectOneCopy) {
   EXPECT_LT(big.retained_bytes(), unfolded / 4);
 }
 
+TEST(StreamingDistributionTest, RetainedBytesReportTheSketchArray) {
+  // Once folded, the charge is the sketch object plus its dense bucket
+  // array's real capacity — the same bytes a standalone sketch fed the
+  // same samples in the same order holds.
+  Distribution d;
+  d.set_sample_cap(64);
+  obs::QuantileSketch twin;
+  for (int i = 0; i < 5000; ++i) {
+    const double v = 0.001 * static_cast<double>((i * 7919) % 100000);
+    d.add(v);
+    twin.observe(v);
+  }
+  ASSERT_TRUE(d.folded());
+  EXPECT_GT(twin.retained_bytes(), 0U);
+  EXPECT_EQ(d.retained_bytes(),
+            sizeof(obs::QuantileSketch) + twin.retained_bytes());
+  // Copies rebuild the sketch by merge and report their own storage.
+  const Distribution copy = d;
+  EXPECT_GE(copy.retained_bytes(), sizeof(obs::QuantileSketch));
+  EXPECT_EQ(copy.quantile(0.99), d.quantile(0.99));
+}
+
 TEST(StreamingDistributionTest, QuantileLawUnchangedByScratchSort) {
   // Pinned against util::interpolated_quantile: rank q*(n-1) interpolation,
   // same values the pre-rewrite sorted_ cache produced.
