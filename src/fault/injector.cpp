@@ -84,9 +84,10 @@ DownloadDamage assess_download(const Injector* injector, double start_min,
   // Most windows touch no episode at all: answer those clean before any
   // per-kind scan or private stream is set up. Exact, because a burst only
   // draws when its overlap is positive and stalls are never channel-scoped.
+  const auto candidates = plan.episodes_on(channel);
   const bool touched = std::any_of(
-      plan.episodes().begin(), plan.episodes().end(), [&](const Episode& e) {
-        return e.hits_channel(channel) && e.overlaps(start_min, end_min);
+      candidates.begin(), candidates.end(), [&](std::size_t i) {
+        return plan.episodes()[i].overlaps(start_min, end_min);
       });
   if (!touched) {
     return damage;

@@ -90,6 +90,22 @@ Plan::Plan(std::vector<Episode> episodes, std::uint64_t seed)
                    [](const Episode& a, const Episode& b) {
                      return a.start_min < b.start_min;
                    });
+  int largest_scoped = -1;
+  for (const auto& e : episodes_) {
+    largest_scoped = std::max(largest_scoped, e.channel);
+  }
+  by_channel_.resize(static_cast<std::size_t>(largest_scoped + 1));
+  for (std::size_t i = 0; i < episodes_.size(); ++i) {
+    const int ch = episodes_[i].channel;
+    if (ch < 0) {
+      unscoped_.push_back(i);
+      for (auto& list : by_channel_) {
+        list.push_back(i);
+      }
+    } else {
+      by_channel_[static_cast<std::size_t>(ch)].push_back(i);
+    }
+  }
 }
 
 Plan Plan::generate(const PlanSpec& spec, std::uint64_t seed) {
@@ -158,9 +174,9 @@ Plan Plan::generate(const PlanSpec& spec, std::uint64_t seed) {
 
 std::size_t Plan::first_hit(EpisodeKind kind, double a, double b,
                             int ch) const noexcept {
-  for (std::size_t i = 0; i < episodes_.size(); ++i) {
+  for (const std::size_t i : episodes_on(ch)) {
     const auto& e = episodes_[i];
-    if (e.kind == kind && e.hits_channel(ch) && e.overlaps(a, b)) {
+    if (e.kind == kind && e.overlaps(a, b)) {
       return i;
     }
   }

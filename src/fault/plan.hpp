@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,7 +88,9 @@ class Plan {
 
   /// A hand-built plan (episodes are sorted by start time; the sorted
   /// position is the episode's stable index in every metric and trace).
-  /// Precondition: every disk stall and server restart has channel -1.
+  /// The per-channel index behind episodes_on() is dense up to the largest
+  /// scoped channel. Precondition: every disk stall and server restart has
+  /// channel -1.
   Plan(std::vector<Episode> episodes, std::uint64_t seed);
 
   /// Generates a plan from `spec`. Determinism contract: the k-th episode
@@ -101,6 +104,16 @@ class Plan {
   }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] bool empty() const noexcept { return episodes_.empty(); }
+
+  /// Indices, ascending, of the episodes that can hit channel `ch`: those
+  /// scoped to `ch` plus every unscoped one. Exactly the episodes whose
+  /// hits_channel(ch) holds, so a window query scans only these.
+  [[nodiscard]] std::span<const std::size_t> episodes_on(int ch) const noexcept {
+    if (ch >= 0 && static_cast<std::size_t>(ch) < by_channel_.size()) {
+      return by_channel_[static_cast<std::size_t>(ch)];
+    }
+    return unscoped_;
+  }
 
   /// Index of the first episode of `kind` overlapping [a, b) on `ch`;
   /// npos if none.
@@ -117,6 +130,10 @@ class Plan {
  private:
   std::vector<Episode> episodes_;
   std::uint64_t seed_ = 0;
+  /// episodes_on(c) for c in [0, largest scoped channel]; any other channel
+  /// is hit by the unscoped episodes alone.
+  std::vector<std::vector<std::size_t>> by_channel_;
+  std::vector<std::size_t> unscoped_;
 };
 
 }  // namespace vodbcast::fault

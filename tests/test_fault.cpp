@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "batching/queue_policies.hpp"
 #include "ctrl/adaptive.hpp"
@@ -422,6 +423,84 @@ TEST(FaultPlanTest, RejectsChannelScopedStallsAndRestarts) {
                            .end_min = 12.0,
                            .channel = 3});
   EXPECT_NO_THROW(Plan(std::move(scoped), 1));
+}
+
+// The per-channel episode index against a full scan: over seeded random
+// plans, windows and channels (negative ones, and ones above every scoped
+// episode's channel, included), episodes_on() lists exactly the episodes
+// whose hits_channel() holds, first_hit() names the same episode as a scan
+// of every episode, and assess_download()'s early-out is clean exactly when
+// no episode on the channel overlaps the window.
+TEST(FaultPlanTest, ChannelIndexMatchesFullScan) {
+  util::Rng rng(20261017);
+  constexpr EpisodeKind kKinds[] = {
+      EpisodeKind::kChannelOutage, EpisodeKind::kLossBurst,
+      EpisodeKind::kDiskStall, EpisodeKind::kServerRestart};
+  for (int trial = 0; trial < 200; ++trial) {
+    const int channels = 1 + static_cast<int>(rng.next_below(12));
+    std::vector<Episode> episodes;
+    const auto count = 1 + rng.next_below(8);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const auto kind = kKinds[rng.next_below(4)];
+      const bool scoped = kind == EpisodeKind::kChannelOutage ||
+                          kind == EpisodeKind::kLossBurst;
+      const double start = rng.next_double() * 100.0;
+      const double length =
+          kind == EpisodeKind::kServerRestart ? 0.0 : rng.next_double() * 20.0;
+      episodes.push_back(Episode{
+          .kind = kind,
+          .start_min = start,
+          .end_min = start + length,
+          .channel = scoped && rng.next_below(4) != 0
+                         ? static_cast<int>(rng.next_below(
+                               static_cast<std::uint64_t>(channels)))
+                         : -1,
+          .burst = {.p_good_to_bad = 0.5,
+                    .p_bad_to_good = 0.5,
+                    .loss_good = 0.1,
+                    .loss_bad = 0.9}});
+    }
+    const Injector injector{Plan(std::move(episodes), 9 + trial)};
+    const Plan& plan = injector.plan();
+    const auto& all = plan.episodes();
+    for (int ch = -2; ch <= channels + 2; ++ch) {
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (all[i].hits_channel(ch)) {
+          expected.push_back(i);
+        }
+      }
+      const auto indexed = plan.episodes_on(ch);
+      EXPECT_EQ(std::vector<std::size_t>(indexed.begin(), indexed.end()),
+                expected)
+          << "trial " << trial << " ch " << ch;
+      for (int w = 0; w < 8; ++w) {
+        const double a = rng.next_double() * 120.0 - 10.0;
+        const double b = a + rng.next_double() * 15.0;
+        bool touched = false;
+        for (const auto kind : kKinds) {
+          std::size_t scan = Plan::npos;
+          for (std::size_t i = 0; i < all.size(); ++i) {
+            if (all[i].kind == kind && all[i].hits_channel(ch) &&
+                all[i].overlaps(a, b)) {
+              scan = i;
+              break;
+            }
+          }
+          EXPECT_EQ(plan.first_hit(kind, a, b, ch), scan)
+              << "trial " << trial << " ch " << ch << " " << to_string(kind);
+          touched = touched || scan != Plan::npos;
+        }
+        const auto damage = assess_download(&injector, a, b, ch, 5.0,
+                                            static_cast<std::uint64_t>(w));
+        if (!touched) {
+          EXPECT_FALSE(damage.damaged);
+          EXPECT_EQ(damage.episode, Plan::npos);
+          EXPECT_EQ(damage.repaired_at_min, b);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
