@@ -199,6 +199,42 @@ void BM_EndToEndSimulationWithSpans(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSimulationWithSpans);
 
+// One record into a full 64k ring: the ring is overfilled 10x before the
+// clock starts, so every timed record overwrites the oldest slot, as a
+// long traced run does.
+constexpr std::size_t kRingCapacity = 65536;
+constexpr std::size_t kRingOverfill = 10 * kRingCapacity;
+
+void BM_TracerRecord(benchmark::State& state) {
+  obs::Tracer tracer(kRingCapacity);
+  obs::TraceEvent event;
+  event.kind = obs::EventKind::kSegmentDownloadStart;
+  for (std::size_t i = 0; i < kRingOverfill; ++i) {
+    tracer.record(event);
+  }
+  for (auto _ : state) {
+    event.sim_time_min += 0.5;
+    tracer.record(event);
+  }
+  benchmark::DoNotOptimize(tracer.recorded());
+}
+BENCHMARK(BM_TracerRecord);
+
+void BM_SpanTracerRecord(benchmark::State& state) {
+  obs::SpanTracer spans(kRingCapacity);
+  obs::Span span;
+  span.phase = obs::SpanPhase::kSegmentDownload;
+  for (std::size_t i = 0; i < kRingOverfill; ++i) {
+    spans.record(span);
+  }
+  for (auto _ : state) {
+    span.start_min += 0.5;
+    span.end_min = span.start_min + 1.0;
+    benchmark::DoNotOptimize(spans.record(span));
+  }
+}
+BENCHMARK(BM_SpanTracerRecord);
+
 // The family hot path in isolation. Per request, sim::simulate's labeled
 // wiring adds one cached-pointer indirection plus one sketch observe on top
 // of the unlabeled sketch it already fed; family resolution itself happened
