@@ -4,7 +4,10 @@
 #   build-asan  ASan+UBSan over the observability subsystem, simulator,
 #               event-engine slab allocator, batching server, net
 #               reassembly/loss paths, the fault-injection/recovery layer,
-#               the adaptive control plane and the metro federation;
+#               the adaptive control plane and the metro federation, plus
+#               the engine golden digests, whose ring-pressure cases make
+#               sim::simulate fill reception records it deferred to the end
+#               of the run (a deferred PlanView outliving its plan fails);
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               simulate_replicated, simulate_adaptive_replicated and
 #               simulate_federation_replicated runs, the pooled bandwidth
