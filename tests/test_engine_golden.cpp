@@ -15,6 +15,9 @@
 // ring-pressure digests were recorded while sim::simulate still wrote every
 // reception record as it planned the client; they pin that claiming ring
 // positions and filling only the retained ones reproduces the same rings.
+// The adaptive_replicated and sim_replicated_report digests were recorded
+// while each replicated runner still carried its own seed, slot and merge
+// code; they pin that the shared runner reproduces every one of them.
 // On a mismatch the failure message prints the new table entry.
 #include <gtest/gtest.h>
 
@@ -87,36 +90,7 @@ class Canon {
     line("spans", sink.spans.to_jsonl());
   }
 
-  [[nodiscard]] std::string digest() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : text_) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
-  }
-
- private:
-  static bool excluded(const std::string& name) {
-    const auto ends_with = [&name](const std::string& suffix) {
-      return name.size() >= suffix.size() &&
-             name.compare(name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0;
-    };
-    return ends_with("_ns") || name == "sim.event_queue.pending_peak" ||
-           name == "sim.event_queue.slab_slots";
-  }
-
-  static std::string labels(const obs::Snapshot::Labels& ls) {
-    std::string out;
-    for (const auto& [k, v] : ls) {
-      out += "{" + k + "=" + v + "}";
-    }
-    return out;
-  }
-
+  /// Every metric but the excluded ones, in snapshot order.
   void metrics(const obs::Registry& registry) {
     const auto snap = registry.snapshot();
     for (const auto& [name, value] : snap.counters) {
@@ -167,6 +141,36 @@ class Canon {
     }
   }
 
+  [[nodiscard]] std::string digest() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text_) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+    return buf;
+  }
+
+ private:
+  static bool excluded(const std::string& name) {
+    const auto ends_with = [&name](const std::string& suffix) {
+      return name.size() >= suffix.size() &&
+             name.compare(name.size() - suffix.size(), suffix.size(),
+                          suffix) == 0;
+    };
+    return ends_with("_ns") || name == "sim.event_queue.pending_peak" ||
+           name == "sim.event_queue.slab_slots";
+  }
+
+  static std::string labels(const obs::Snapshot::Labels& ls) {
+    std::string out;
+    for (const auto& [k, v] : ls) {
+      out += "{" + k + "=" + v + "}";
+    }
+    return out;
+  }
+
   void line(const std::string& key, const std::string& value) {
     text_ += key;
     text_ += '=';
@@ -192,6 +196,12 @@ void expect_golden(const std::string& name, const Canon& canon) {
       {"adaptive/seed3/nosink/faults", "a759008d99cd5908"},
       {"adaptive/seed3/sink/clean", "20c049e58b30852f"},
       {"adaptive/seed3/sink/faults", "6016d28311ceff2b"},
+      {"adaptive_replicated/t4096s4096/seed101", "8819590a76076ed4"},
+      {"adaptive_replicated/t4096s4096/seed17", "d4f66129d182cb46"},
+      {"adaptive_replicated/t4096s4096/seed3", "7cee90280b7e4adb"},
+      {"adaptive_replicated/t7s97/seed101", "3ff2854aac1edf9b"},
+      {"adaptive_replicated/t7s97/seed17", "b26bcd361c33355e"},
+      {"adaptive_replicated/t7s97/seed3", "220ddc6dafb36f50"},
       {"federation/seed101/nosink/clean", "5a304e99ad00a36c"},
       {"federation/seed101/nosink/faults", "25269a35305c533c"},
       {"federation/seed101/sink/clean", "660a1b9074a6b12c"},
@@ -267,6 +277,9 @@ void expect_golden(const std::string& name, const Canon& canon) {
       {"ring_shared/t97s7/seed101", "695d351df467265a"},
       {"ring_shared/t97s7/seed17", "c7c412413452d8fe"},
       {"ring_shared/t97s7/seed3", "6e7c19cd60272124"},
+      {"sim_replicated_report/seed101", "16f31166fa66f13d"},
+      {"sim_replicated_report/seed17", "961866f20db38c5e"},
+      {"sim_replicated_report/seed3", "df088952457c36ac"},
       {"simulate/seed101/nosink/clean", "3a9e2caca8373deb"},
       {"simulate/seed101/nosink/faults", "08c65946c2699ac2"},
       {"simulate/seed101/sink/clean", "1bfc9bccd84269ee"},
@@ -298,6 +311,20 @@ std::string variant(const char* engine, std::uint64_t seed, bool with_sink,
                     const char* axis) {
   return std::string(engine) + "/seed" + std::to_string(seed) +
          (with_sink ? "/sink/" : "/nosink/") + axis;
+}
+
+void canon_simulation(Canon& canon, const sim::SimulationReport& report) {
+  canon.field("scheme", report.scheme);
+  canon.distribution("latency", report.latency_minutes);
+  canon.distribution("buffer_peak", report.buffer_peak_mbits);
+  canon.field("max_concurrent_downloads", report.max_concurrent_downloads);
+  canon.field("clients_served", report.clients_served);
+  canon.field("jitter_events", report.jitter_events);
+  canon.field("peak_server_rate", report.peak_server_rate.v);
+  canon.field("fault_hits", report.fault_hits);
+  canon.field("fault_repairs", report.fault_repairs);
+  canon.field("fault_degraded", report.fault_degraded);
+  canon.distribution("fault_penalty", report.fault_penalty_minutes);
 }
 
 // sim::simulate — SB:W=52, every client planned, a streaming stats cap
@@ -333,18 +360,7 @@ TEST(EngineGoldenTest, Simulate) {
         const auto report = sim::simulate(sb, input, config);
 
         Canon canon;
-        canon.field("scheme", report.scheme);
-        canon.distribution("latency", report.latency_minutes);
-        canon.distribution("buffer_peak", report.buffer_peak_mbits);
-        canon.field("max_concurrent_downloads",
-                    report.max_concurrent_downloads);
-        canon.field("clients_served", report.clients_served);
-        canon.field("jitter_events", report.jitter_events);
-        canon.field("peak_server_rate", report.peak_server_rate.v);
-        canon.field("fault_hits", report.fault_hits);
-        canon.field("fault_repairs", report.fault_repairs);
-        canon.field("fault_degraded", report.fault_degraded);
-        canon.distribution("fault_penalty", report.fault_penalty_minutes);
+        canon_simulation(canon, report);
         if (sink != nullptr) {
           canon.sink(*sink);
         }
@@ -486,73 +502,144 @@ TEST(EngineGoldenTest, SimulateRingPressureReplicated) {
   }
 }
 
+fault::Injector adaptive_injector(std::uint64_t seed) {
+  return fault::Injector(fault::Plan::generate(
+      fault::PlanSpec{.horizon_min = 600.0,
+                      .channels = 48,
+                      .outages = 3,
+                      .bursts = 1,
+                      .disk_stalls = 1,
+                      .server_restart = true},
+      seed + 1000));
+}
+
+ctrl::AdaptiveConfig adaptive_config(std::uint64_t seed,
+                                     const fault::Injector* injector,
+                                     obs::Sink* sink) {
+  ctrl::AdaptiveConfig config;
+  config.total_bandwidth = core::MbitPerSec{72.0};
+  config.catalog_size = 40;
+  config.hot_titles = 8;
+  config.broadcast_channels_per_video = 4;
+  config.video = core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
+  config.arrivals_per_minute = 6.0;
+  config.horizon = core::Minutes{600.0};
+  config.epoch = core::Minutes{30.0};
+  config.half_life = core::Minutes{30.0};
+  config.min_tail_channels = 4;
+  config.flip_at = core::Minutes{300.0};
+  config.seed = seed;
+  config.sink = sink;
+  config.injector = injector;
+  return config;
+}
+
+void canon_adaptive(Canon& canon, const ctrl::AdaptiveReport& report) {
+  canon.distribution("wait", report.wait_minutes);
+  canon.distribution("hot_wait", report.hot_wait_minutes);
+  canon.distribution("tail_wait", report.tail_wait_minutes);
+  canon.field("served_hot", report.served_hot);
+  canon.field("served_tail", report.served_tail);
+  canon.field("unserved", report.unserved);
+  canon.field("epochs", report.epochs);
+  canon.field("reallocs", report.reallocs);
+  canon.field("promotions", report.promotions);
+  canon.field("demotions", report.demotions);
+  canon.field("drains_completed", report.drains_completed);
+  canon.field("deferred_promotions", report.deferred_promotions);
+  canon.field("degraded_epochs", report.degraded_epochs);
+  canon.field("fault_forced_demotions", report.fault_forced_demotions);
+  canon.field("fault_restarts", report.fault_restarts);
+  canon.field("channels_per_video", report.channels_per_video);
+  canon.field("broadcast_worst_latency", report.broadcast_worst_latency.v);
+  canon.field("degraded", report.degraded ? 1 : 0);
+  std::string hot;
+  for (const auto v : report.final_hot) {
+    hot += std::to_string(v) + ",";
+  }
+  canon.field("final_hot", hot);
+  canon.field("converged_epochs_after_flip",
+              report.converged_epochs_after_flip);
+}
+
+// simulate_replicated's merged report, its per-replication means and CI,
+// and the merged metrics (the rings are pinned by ring_replicated): serial
+// and a 4-worker pool share one digest.
+TEST(EngineGoldenTest, SimulateReplicatedReport) {
+  util::TaskPool pool(4);
+  for (const auto seed : kSeeds) {
+    const auto injector = ring_injector(seed);
+    for (util::TaskPool* p : {static_cast<util::TaskPool*>(nullptr), &pool}) {
+      obs::Sink sink(4096, 4096);
+      const auto replicated = sim::simulate_replicated(
+          ring_scheme(), ring_input(), ring_config(seed, true, injector, sink),
+          3, p);
+      Canon canon;
+      canon_simulation(canon, replicated.merged);
+      canon.field("replications",
+                  static_cast<std::uint64_t>(replicated.replications));
+      canon.distribution("replication_mean_latency",
+                         replicated.replication_mean_latency);
+      canon.field("latency_mean_ci95", replicated.latency_mean_ci95);
+      canon.metrics(sink.metrics);
+      expect_golden("sim_replicated_report/seed" + std::to_string(seed),
+                    canon);
+    }
+  }
+}
+
 // ctrl::simulate_adaptive — epochs on, popularity flip mid-horizon; faults
 // add an outage-forced demotion and a server restart.
 TEST(EngineGoldenTest, SimulateAdaptive) {
   for (const auto seed : kSeeds) {
+    const auto injector = adaptive_injector(seed);
     for (const bool with_sink : {false, true}) {
       for (const bool faults : {false, true}) {
         const auto sink = make_sink(with_sink);
-        const fault::Injector injector(fault::Plan::generate(
-            fault::PlanSpec{.horizon_min = 600.0,
-                            .channels = 48,
-                            .outages = 3,
-                            .bursts = 1,
-                            .disk_stalls = 1,
-                            .server_restart = true},
-            seed + 1000));
-        ctrl::AdaptiveConfig config;
-        config.total_bandwidth = core::MbitPerSec{72.0};
-        config.catalog_size = 40;
-        config.hot_titles = 8;
-        config.broadcast_channels_per_video = 4;
-        config.video =
-            core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
-        config.arrivals_per_minute = 6.0;
-        config.horizon = core::Minutes{600.0};
-        config.epoch = core::Minutes{30.0};
-        config.half_life = core::Minutes{30.0};
-        config.min_tail_channels = 4;
-        config.flip_at = core::Minutes{300.0};
-        config.seed = seed;
-        config.sink = sink.get();
-        config.injector = faults ? &injector : nullptr;
-        const auto report =
-            ctrl::simulate_adaptive(batching::MqlPolicy(), config);
-
+        const auto report = ctrl::simulate_adaptive(
+            batching::MqlPolicy(),
+            adaptive_config(seed, faults ? &injector : nullptr, sink.get()));
         Canon canon;
-        canon.distribution("wait", report.wait_minutes);
-        canon.distribution("hot_wait", report.hot_wait_minutes);
-        canon.distribution("tail_wait", report.tail_wait_minutes);
-        canon.field("served_hot", report.served_hot);
-        canon.field("served_tail", report.served_tail);
-        canon.field("unserved", report.unserved);
-        canon.field("epochs", report.epochs);
-        canon.field("reallocs", report.reallocs);
-        canon.field("promotions", report.promotions);
-        canon.field("demotions", report.demotions);
-        canon.field("drains_completed", report.drains_completed);
-        canon.field("deferred_promotions", report.deferred_promotions);
-        canon.field("degraded_epochs", report.degraded_epochs);
-        canon.field("fault_forced_demotions", report.fault_forced_demotions);
-        canon.field("fault_restarts", report.fault_restarts);
-        canon.field("channels_per_video", report.channels_per_video);
-        canon.field("broadcast_worst_latency",
-                    report.broadcast_worst_latency.v);
-        canon.field("degraded", report.degraded ? 1 : 0);
-        std::string hot;
-        for (const auto v : report.final_hot) {
-          hot += std::to_string(v) + ",";
-        }
-        canon.field("final_hot", hot);
-        canon.field("converged_epochs_after_flip",
-                    report.converged_epochs_after_flip);
+        canon_adaptive(canon, report);
         if (sink != nullptr) {
           canon.sink(*sink);
         }
         expect_golden(
             variant("adaptive", seed, with_sink, faults ? "faults" : "clean"),
             canon);
+      }
+    }
+  }
+}
+
+// simulate_adaptive_replicated with faults on and rings under pressure:
+// the merged report, the per-replication means and CI, both rings and the
+// merged metrics. Serial and a 4-worker pool share one digest.
+TEST(EngineGoldenTest, SimulateAdaptiveReplicated) {
+  constexpr std::pair<std::size_t, std::size_t> kCapacities[] = {
+      {7, 97}, {4096, 4096}};
+  util::TaskPool pool(4);
+  for (const auto seed : kSeeds) {
+    const auto injector = adaptive_injector(seed);
+    for (const auto& [trace_cap, span_cap] : kCapacities) {
+      for (util::TaskPool* p :
+           {static_cast<util::TaskPool*>(nullptr), &pool}) {
+        obs::Sink sink(trace_cap, span_cap);
+        const auto replicated = ctrl::simulate_adaptive_replicated(
+            batching::MqlPolicy(), adaptive_config(seed, &injector, &sink), 3,
+            p);
+        Canon canon;
+        canon_adaptive(canon, replicated.merged);
+        canon.field("replications",
+                    static_cast<std::uint64_t>(replicated.replications));
+        canon.distribution("replication_mean_wait",
+                           replicated.replication_mean_wait);
+        canon.field("wait_mean_ci95", replicated.wait_mean_ci95);
+        canon_rings(canon, sink);
+        canon.metrics(sink.metrics);
+        expect_golden(ring_variant("adaptive_replicated", trace_cap, span_cap,
+                                   seed),
+                      canon);
       }
     }
   }
