@@ -60,4 +60,15 @@ struct MulticastReport {
     const BatchingPolicy& policy, const std::vector<workload::Request>& requests,
     std::size_t num_videos, const MulticastConfig& config);
 
+/// Records the span tree of one batch-served request: a session under
+/// `parent` (0 = root) from `arrival` to `dispatch + playback_min`, with a
+/// queue_wait child over [arrival, dispatch) and a playback child from
+/// `dispatch` on `channel`. The session and queue_wait spans carry `wait`,
+/// the playback span carries `playback_min`.
+void record_served_session(obs::SpanTracer& spans, std::uint64_t parent,
+                           double arrival, double dispatch,
+                           double playback_min, std::uint64_t video,
+                           std::uint64_t client, double wait,
+                           std::int32_t channel);
+
 }  // namespace vodbcast::batching

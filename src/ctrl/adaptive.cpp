@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
 
+#include "batching/scheduled_multicast.hpp"
 #include "obs/log.hpp"
 #include "schemes/skyscraper.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/replicate.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 #include "workload/request.hpp"
@@ -190,40 +191,9 @@ struct AdaptiveSim {
         report.wait_minutes.add(wait);
         report.tail_wait_minutes.add(wait);
         if (sink != nullptr) {
-          const auto client = ++next_client;
-          const double end = now + config.video.duration.v;
-          const auto session = sink->spans.record(obs::Span{
-              .start_min = r.arrival.v,
-              .end_min = end,
-              .phase = obs::SpanPhase::kSession,
-              .channel = 0,
-              .video = *video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = r.arrival.v,
-              .end_min = now,
-              .phase = obs::SpanPhase::kQueueWait,
-              .channel = 0,
-              .video = *video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = now,
-              .end_min = end,
-              .phase = obs::SpanPhase::kPlayback,
-              .channel = tail_busy + 1,
-              .video = *video,
-              .client = client,
-              .value = config.video.duration.v,
-              .label = {},
-          });
+          batching::record_served_session(
+              sink->spans, 0, r.arrival.v, now, config.video.duration.v,
+              *video, ++next_client, wait, tail_busy + 1);
         }
       }
       const auto batch = queue.size();
@@ -285,40 +255,10 @@ struct AdaptiveSim {
         if (sink != nullptr) {
           // The promotion itself ended these waits: parent the absorbed
           // sessions onto the epoch span that triggered it.
-          const double end = now + config.video.duration.v;
-          const auto session = sink->spans.record(obs::Span{
-              .parent = epoch_span,
-              .start_min = r.arrival.v,
-              .end_min = end,
-              .phase = obs::SpanPhase::kSession,
-              .channel = 0,
-              .video = video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = r.arrival.v,
-              .end_min = now,
-              .phase = obs::SpanPhase::kQueueWait,
-              .channel = 0,
-              .video = video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = now,
-              .end_min = end,
-              .phase = obs::SpanPhase::kPlayback,
-              .channel = channels_per_video,
-              .video = video,
-              .client = client,
-              .value = config.video.duration.v,
-              .label = {},
-          });
+          batching::record_served_session(
+              sink->spans, epoch_span, r.arrival.v, now,
+              config.video.duration.v, video, client, wait,
+              channels_per_video);
         }
       }
       hot[video].active_until = now + config.video.duration.v;
@@ -836,30 +776,15 @@ void merge_reports(AdaptiveReport& into, const AdaptiveReport& other) {
 ReplicatedAdaptiveReport simulate_adaptive_replicated(
     const batching::BatchingPolicy& policy, const AdaptiveConfig& config,
     std::size_t reps, util::TaskPool* pool) {
-  VB_EXPECTS(reps >= 1);
-
-  // Same seed rule as sim::simulate_replicated: replication r consumes the
-  // (r+1)-th output of SplitMix64(config.seed).
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-
-  std::vector<AdaptiveReport> reports(reps);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(reps);
-  util::parallel_for_each(pool, reps, [&](std::size_t r) {
-    AdaptiveConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    rep_config.sampler = nullptr;  // R interleaved clocks are meaningless
-    rep_config.sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[r] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      rep_config.sink = sinks[r].get();
-    }
-    reports[r] = simulate_adaptive(policy, rep_config);
-  });
+  const auto reports = sim::replicate(
+      reps, config.seed, pool, config.sink,
+      [&](std::uint64_t seed, obs::Sink* sink) {
+        AdaptiveConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sampler = nullptr;  // R interleaved clocks are meaningless
+        rep_config.sink = sink;
+        return simulate_adaptive(policy, rep_config);
+      });
 
   ReplicatedAdaptiveReport out;
   out.replications = reps;
@@ -868,13 +793,6 @@ ReplicatedAdaptiveReport simulate_adaptive_replicated(
   for (std::size_t r = 1; r < reps; ++r) {
     merge_reports(out.merged, reports[r]);
     out.replication_mean_wait.add(reports[r].mean_wait_minutes());
-  }
-  if (config.sink != nullptr) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      config.sink->metrics.merge_from(sinks[r]->metrics);
-      config.sink->trace.merge_from(sinks[r]->trace);
-      config.sink->spans.merge_from(sinks[r]->spans);
-    }
   }
   out.wait_mean_ci95 = sim::mean_ci95(out.replication_mean_wait);
   return out;

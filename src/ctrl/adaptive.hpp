@@ -136,11 +136,11 @@ struct AdaptiveReport {
 [[nodiscard]] AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
                                                const AdaptiveConfig& config);
 
-/// R replications with the simulate_replicated determinism contract:
-/// replication r's seed is the (r+1)-th SplitMix64 output of config.seed,
-/// per-replication sinks fold into config.sink after the join in replication
-/// order, and the result is bit-identical at any thread count (null pool =
-/// serial). config.sampler is not forwarded to replications.
+/// R replications under the replication contract of sim::replicate
+/// (sim/replicate.hpp): seeds, private sinks folding into config.sink, and a
+/// result bit-identical at any thread count (null pool = serial). Reports
+/// merge in replication order. config.sampler is not forwarded to
+/// replications. Throws std::invalid_argument when reps == 0.
 struct ReplicatedAdaptiveReport {
   AdaptiveReport merged;
   std::size_t replications = 0;

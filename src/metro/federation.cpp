@@ -12,6 +12,7 @@
 #include "obs/span.hpp"
 #include "schemes/skyscraper.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/replicate.hpp"
 #include "util/rng.hpp"
 #include "workload/request.hpp"
 
@@ -283,24 +284,14 @@ FederationRun run_federation(const Topology& topology,
   return run;
 }
 
-/// Folds region sinks into `into` in region index order.
-void fold_sinks(obs::Sink& into,
-                const std::vector<std::unique_ptr<obs::Sink>>& sinks) {
-  for (const auto& sink : sinks) {
-    into.metrics.merge_from(sink->metrics);
-    into.trace.merge_from(sink->trace);
-    into.spans.merge_from(sink->spans);
-  }
-}
-
 }  // namespace
 
 FederationReport simulate_federation(const Topology& topology,
                                      const FederationConfig& config,
                                      util::TaskPool* /*pool*/) {
   FederationRun run = run_federation(topology, config);
-  if (config.sink != nullptr) {
-    fold_sinks(*config.sink, run.sinks);
+  for (const auto& sink : run.sinks) {  // empty unless config.sink is set
+    config.sink->merge_from(*sink);
   }
   return std::move(run.report);
 }
@@ -308,25 +299,18 @@ FederationReport simulate_federation(const Topology& topology,
 ReplicatedFederationReport simulate_federation_replicated(
     const Topology& topology, const FederationConfig& config, std::size_t reps,
     util::TaskPool* pool) {
-  if (reps < 1) {
-    throw std::invalid_argument(
-        "metro federation needs at least one replication");
-  }
-  // Replication r's seed is the (r+1)-th SplitMix64 output. Replications
-  // run concurrently on the pool, each into its own slot; every merge
-  // happens after the join in replication order, so the result is
-  // bit-identical at any thread count.
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-  std::vector<FederationRun> runs(reps);
-  util::parallel_for_each(pool, reps, [&](std::size_t r) {
-    FederationConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    runs[r] = run_federation(topology, rep_config);
-  });
+  // Replication contract: sim::replicate. No sink template: each region
+  // ledger owns its sink, folded below in (replication, region) order.
+  // Folding a replication's regions into one sink first would change the
+  // merged rings, because ring order and span remapping make that fold
+  // non-associative.
+  const auto runs = sim::replicate(
+      reps, config.seed, pool, nullptr,
+      [&](std::uint64_t seed, obs::Sink* /*sink*/) {
+        FederationConfig rep_config = config;
+        rep_config.seed = seed;
+        return run_federation(topology, rep_config);
+      });
 
   ReplicatedFederationReport out;
   out.replications = reps;
@@ -362,8 +346,8 @@ ReplicatedFederationReport simulate_federation_replicated(
     if (!rep.wait_minutes.empty()) {
       out.replication_mean_wait.add(rep.wait_minutes.mean());
     }
-    if (config.sink != nullptr) {
-      fold_sinks(*config.sink, run.sinks);
+    for (const auto& sink : run.sinks) {
+      config.sink->merge_from(*sink);
     }
   }
   out.wait_mean_ci95 = sim::mean_ci95(out.replication_mean_wait);

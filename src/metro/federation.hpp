@@ -123,12 +123,12 @@ struct FederationReport {
     const Topology& topology, const FederationConfig& config,
     util::TaskPool* pool = nullptr);
 
-/// R independent federation replications, run concurrently on `pool` (one
-/// replication per slot; null = serial). Replication r's seed is the
-/// (r+1)-th output of util::SplitMix64(config.seed); after the join,
-/// reports, distributions and each replication's region sinks merge in
-/// (replication, region) order, so the result is bit-identical at any
-/// thread count.
+/// R independent federation replications under the replication contract
+/// of sim::replicate (sim/replicate.hpp): seeds, one slot per replication on
+/// `pool` (null = serial), and a result bit-identical at any thread count.
+/// After the join, reports, distributions and each replication's region
+/// sinks merge in (replication, region) order. Throws std::invalid_argument
+/// when reps == 0.
 struct ReplicatedFederationReport {
   FederationReport merged;  ///< all replications folded in rep order
   std::size_t replications = 0;

@@ -24,6 +24,15 @@ struct Sink {
   Sink(std::size_t trace_capacity, std::size_t span_capacity)
       : trace(trace_capacity), spans(span_capacity) {}
 
+  /// Folds `other` in: metrics, then trace, then spans, each through its
+  /// own shard merge. Folding shards in a fixed order gives the same sink
+  /// at any thread count (the replication contract, sim::replicate).
+  void merge_from(const Sink& other) {
+    metrics.merge_from(other.metrics);
+    trace.merge_from(other.trace);
+    spans.merge_from(other.spans);
+  }
+
   Registry metrics;
   Tracer trace;
   SpanTracer spans;

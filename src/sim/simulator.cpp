@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "obs/log.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/replicate.hpp"
 #include "obs/timer.hpp"
 #include "schemes/skyscraper.hpp"
 #include "util/contracts.hpp"
@@ -611,41 +612,21 @@ ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
                                      const SimulationConfig& config,
                                      std::size_t reps,
                                      util::TaskPool* pool) {
-  VB_EXPECTS(reps >= 1);
+  const auto reports = replicate(
+      reps, config.seed, pool, config.sink,
+      [&](std::uint64_t seed, obs::Sink* sink) {
+        SimulationConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sampler = nullptr;
+        rep_config.sink = sink;
+        return simulate(scheme, input, rep_config);
+      });
 
-  // Seed rule (see header): replication r <- (r+1)-th SplitMix64 output.
-  // Derived up front so the schedule is independent of execution order.
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-
-  // Each replication runs against private state; nothing below is shared
-  // between workers until the post-join merge.
-  std::vector<SimulationReport> reports(reps);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(reps);
-  util::parallel_for_each(pool, reps, [&](std::size_t r) {
-    SimulationConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    rep_config.sampler = nullptr;
-    rep_config.sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[r] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      rep_config.sink = sinks[r].get();
-    }
-    reports[r] = simulate(scheme, input, rep_config);
-  });
-
-  // All merges below run on this thread, in replication order — the floats
-  // accumulate in the same order at any thread count.
   ReplicatedReport result;
   result.replications = reps;
   result.merged.scheme = reports.front().scheme;
   result.merged.peak_server_rate = reports.front().peak_server_rate;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto& rep = reports[r];
+  for (const auto& rep : reports) {
     result.merged.latency_minutes.merge(rep.latency_minutes);
     result.merged.buffer_peak_mbits.merge(rep.buffer_peak_mbits);
     result.merged.max_concurrent_downloads =
@@ -660,27 +641,10 @@ ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
     if (!rep.latency_minutes.empty()) {
       result.replication_mean_latency.add(rep.latency_minutes.mean());
     }
-    if (config.sink != nullptr) {
-      config.sink->metrics.merge_from(sinks[r]->metrics);
-      config.sink->trace.merge_from(sinks[r]->trace);
-      config.sink->spans.merge_from(sinks[r]->spans);
-    }
   }
 
   result.latency_mean_ci95 = mean_ci95(result.replication_mean_latency);
   return result;
-}
-
-ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
-                                     const schemes::DesignInput& input,
-                                     const SimulationConfig& config,
-                                     std::size_t reps, unsigned threads) {
-  if (threads <= 1) {
-    return simulate_replicated(scheme, input, config, reps,
-                               static_cast<util::TaskPool*>(nullptr));
-  }
-  util::TaskPool pool(threads);
-  return simulate_replicated(scheme, input, config, reps, &pool);
 }
 
 }  // namespace vodbcast::sim

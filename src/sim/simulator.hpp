@@ -100,28 +100,16 @@ struct ReplicatedReport {
   double latency_mean_ci95 = 0.0;
 };
 
-/// Runs `reps` independent replications of the simulation, each with a
-/// private seed, report and (when config.sink is set) a private obs::Sink.
-///
-/// Determinism contract: replication r's seed is the (r+1)-th output of
-/// util::SplitMix64 seeded with config.seed — a pure function of
-/// (config.seed, r) — and every merge (sample distributions, metrics
-/// registry, trace ring) happens after the join, in replication order. The
-/// result is therefore bit-identical for any `pool`, including none.
-///
-/// Replication sinks fold into config.sink via Registry::merge_from /
-/// Tracer::merge_from after the join. config.sampler is not forwarded to
-/// replications (a time-series of R interleaved clocks is meaningless);
-/// it stays null for each replication run.
+/// Runs `reps` independent replications of the simulation under the
+/// replication contract of sim::replicate (replicate.hpp): seeds, private
+/// sinks folding into config.sink, and a result bit-identical for any
+/// `pool`, including none. Reports merge in replication order.
+/// config.sampler is not forwarded to replications (a time-series of R
+/// interleaved clocks is meaningless). Throws std::invalid_argument when
+/// reps == 0.
 [[nodiscard]] ReplicatedReport simulate_replicated(
     const schemes::BroadcastScheme& scheme, const schemes::DesignInput& input,
     const SimulationConfig& config, std::size_t reps,
     util::TaskPool* pool = nullptr);
-
-/// Convenience overload: a positive `threads` > 1 runs the replications on
-/// a temporary pool of that many workers; 0 or 1 runs them serially.
-[[nodiscard]] ReplicatedReport simulate_replicated(
-    const schemes::BroadcastScheme& scheme, const schemes::DesignInput& input,
-    const SimulationConfig& config, std::size_t reps, unsigned threads);
 
 }  // namespace vodbcast::sim

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -17,6 +19,7 @@
 #include "metro/topology.hpp"
 #include "obs/sink.hpp"
 #include "schemes/registry.hpp"
+#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
@@ -576,6 +579,50 @@ TEST(ReplicatedCi95Test, EveryRunnerUsesTheSampleInterval) {
   const auto& metro_means = metro_run.replication_mean_wait.samples();
   ASSERT_EQ(metro_means.size(), 3U);
   EXPECT_NEAR(metro_run.wait_mean_ci95, hand_ci95(metro_means), 1e-12);
+}
+
+// The runner itself: replication r runs with the (r+1)-th SplitMix64
+// output and a private sink with the caller's capacities; results land in
+// replication order and every private sink folds into the caller's.
+TEST(ReplicateTest, SeedsSinksAndSlots) {
+  util::TaskPool pool(3);
+  obs::Sink into(5, 7);
+  const auto results = sim::replicate(
+      4, 99, &pool, &into, [](std::uint64_t seed, obs::Sink* sink) {
+        sink->metrics.counter("runs").add();
+        return std::pair{seed, sink->trace.capacity() * 100 +
+                                   sink->spans.capacity()};
+      });
+  util::SplitMix64 stream(99);
+  ASSERT_EQ(results.size(), 4U);
+  for (const auto& [seed, capacities] : results) {
+    EXPECT_EQ(seed, stream.next());
+    EXPECT_EQ(capacities, 507U);
+  }
+  EXPECT_EQ(into.metrics.counter("runs").value(), 4U);
+
+  // Without a sink to fold into, replications get none.
+  const auto unobserved = sim::replicate(
+      2, 99, nullptr, nullptr,
+      [](std::uint64_t, obs::Sink* sink) { return sink == nullptr ? 1 : 0; });
+  EXPECT_EQ(unobserved, (std::vector<int>{1, 1}));
+}
+
+// Every replicated engine refuses reps == 0 with the runner's one check.
+TEST(ReplicateTest, EveryEngineRefusesZeroReplications) {
+  const auto scheme = schemes::make_scheme("SB:W=52");
+  EXPECT_THROW((void)sim::simulate_replicated(
+                   *scheme, analysis::paper_design_input(300.0),
+                   replication_config(nullptr), 0, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW((void)ctrl::simulate_adaptive_replicated(
+                   batching::MqlPolicy(), ctrl::AdaptiveConfig{}, 0, nullptr),
+               std::invalid_argument);
+  const metro::Topology topology(
+      {{3.0, 60}, {2.0, 60}, {1.5, 60}, {1.0, 60}}, 8, core::Minutes{0.5});
+  EXPECT_THROW((void)metro::simulate_federation_replicated(
+                   topology, federation_config(nullptr), 0, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace
