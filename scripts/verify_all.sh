@@ -2,7 +2,8 @@
 # Full verification chain: tier-1 build+tests, the ASan/UBSan sweep, an
 # OpenMetrics exposition self-check (simulate --metrics-format openmetrics
 # must lint clean under tools/metrics_check, including the per-title wait
-# sketch vs clients-served invariant), a span capture self-check (a seeded
+# sketch vs clients-served invariant), a strict-flags self-check (a typo'd
+# flag or --reps 0 must fail and name the flag), a span capture self-check (a seeded
 # simulate --spans-out run must reconcile against its own --metrics-out dump
 # under tools/trace_analyze --check), a fault-injection self-check (a
 # seeded simulate --fault-plan trace must satisfy the hit = repair +
@@ -65,6 +66,18 @@ build/tools/metrics_check "$om_dir/metrics.txt" \
   'sum(sb_client_wait_count{title=*}) == sim_clients_served_total' \
   'sim_tune_wait_sketch_min_count == sim_clients_served_total' \
   --verbose
+
+echo "== strict CLI flags self-check =="
+# A flag the command does not read, or --reps 0, must fail and name the
+# flag instead of running on defaults.
+for bad in "--bandwdith 300" "--reps 0"; do
+  # shellcheck disable=SC2086
+  if build/tools/vodbcast simulate --horizon 10 $bad 2> "$om_dir/bad.err"; then
+    echo "strict flags: 'simulate $bad' was accepted" >&2
+    exit 1
+  fi
+  grep -q -- "${bad%% *}" "$om_dir/bad.err"
+done
 
 echo "== metro-scale hot-path self-check =="
 # A >=100k-client campaign with the phase-keyed plan cache and streaming

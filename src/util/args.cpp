@@ -102,6 +102,23 @@ std::uint64_t ArgParser::get_uint(const std::string& flag,
   return parsed;
 }
 
+std::uint64_t ArgParser::get_count(const std::string& flag,
+                                   std::uint64_t fallback) const {
+  const auto count = get_uint(flag, fallback);
+  VB_EXPECTS_MSG(count >= 1, "--" + flag + " must be at least 1, got 0");
+  return count;
+}
+
+std::optional<std::string> ArgParser::first_unknown(
+    const std::vector<std::string_view>& known) const {
+  for (const auto& [flag, value] : flags_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      return flag;
+    }
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 /// Splits on ',' keeping empty pieces, so "4,,2" and "4,2," surface the

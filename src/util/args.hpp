@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vodbcast::util {
@@ -39,6 +40,10 @@ class ArgParser {
                                      std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& flag,
                                        std::uint64_t fallback) const;
+  /// get_uint for a count that must be at least 1, such as --reps: 0 throws
+  /// ContractViolation naming the flag.
+  [[nodiscard]] std::uint64_t get_count(const std::string& flag,
+                                        std::uint64_t fallback) const;
 
   /// Comma-separated list values (e.g. `--regions 400,300,300`). Absent
   /// flag -> `fallback`. Each element is validated individually; a
@@ -51,11 +56,12 @@ class ArgParser {
       const std::string& flag,
       const std::vector<std::uint64_t>& fallback) const;
 
-  /// Flags that were parsed; lets a command reject unknown options.
-  [[nodiscard]] const std::map<std::string, std::string>& flags()
-      const noexcept {
-    return flags_;
-  }
+  /// The first parsed flag, in name order, that is not in `known`; nullopt
+  /// when there is none. A command passes every flag it reads, so a flag
+  /// left over is a typo or meant for another command, and the command
+  /// refuses it before acting on any.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      const std::vector<std::string_view>& known) const;
 
  private:
   std::vector<std::string> positionals_;

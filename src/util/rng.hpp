@@ -11,9 +11,10 @@ namespace vodbcast::util {
 
 /// SplitMix64 (Steele, Lea & Flood): one 64-bit word of state, avalanching
 /// output mixing. It both seeds `Rng` and derives per-replication seeds in
-/// `sim::simulate_replicated` — replication r consumes the (r+1)-th output
-/// of the stream seeded with the run seed, so replication results are
-/// reproducible across machines and thread counts.
+/// `sim::replicate`, the runner behind every replicated engine: replication
+/// r consumes the (r+1)-th output of the stream seeded with the run seed,
+/// so replication results are reproducible across machines and thread
+/// counts.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "util/contracts.hpp"
 
 namespace vodbcast::util {
@@ -130,6 +135,39 @@ TEST(ArgParserTest, ArgvConstructorSkipsProgramName) {
 TEST(ArgParserTest, NegativeNumbersAreValues) {
   const ArgParser args({"--offset", "-5"});
   EXPECT_EQ(args.get_int("offset", 0), -5);
+}
+
+// A command lists the flags it reads; anything else is reported by name,
+// whichever spelling it arrived in. `vodbcast simulate --bandwdith 300`
+// used to run with the default bandwidth and exit 0.
+TEST(ArgParserTest, FirstUnknownNamesTheStrayFlag) {
+  const std::vector<std::string_view> simulate = {"bandwidth", "arrivals",
+                                                  "horizon"};
+  const ArgParser typo({"simulate", "--bandwdith", "300", "--arrivals", "10",
+                        "--horizon=10"});
+  EXPECT_EQ(typo.first_unknown(simulate), "bandwdith");
+  const ArgParser clean({"simulate", "--bandwidth=300", "--arrivals", "10"});
+  EXPECT_EQ(clean.first_unknown(simulate), std::nullopt);
+  const ArgParser boolean({"figure", "7", "--csv", "--plot"});
+  EXPECT_EQ(boolean.first_unknown({"csv", "threads"}), "plot");
+  EXPECT_EQ(ArgParser({"--x", "1"}).first_unknown({}), "x");
+}
+
+// --reps 0 used to run one replication silently; a count refuses 0 and
+// names its flag, and otherwise reads like get_uint.
+TEST(ArgParserTest, CountRefusesZero) {
+  const ArgParser zero({"--reps", "0"});
+  try {
+    (void)zero.get_count("reps", 1);
+    ADD_FAILURE() << "--reps 0 accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--reps"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ArgParser({"--reps", "3"}).get_count("reps", 1), 3U);
+  EXPECT_EQ(ArgParser(std::vector<std::string>{}).get_count("reps", 1), 1U);
+  EXPECT_THROW((void)ArgParser({"--reps", "x"}).get_count("reps", 1),
+               ContractViolation);
 }
 
 }  // namespace
