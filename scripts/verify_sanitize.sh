@@ -14,7 +14,8 @@
 #               sweep over shared schemes and series, the event engine's
 #               arrival merge, the batching server, and the quantile sketch
 #               under concurrent observes plus the streaming stats that fold
-#               into it (the data races serial ctest cannot see).
+#               into it, and the plan cache under pooled replications (the
+#               data races serial ctest cannot see).
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -66,7 +67,7 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
     test_metro test_series test_analysis test_event_queue test_batching \
-    test_engine_golden test_obs_sketch test_stats
+    test_engine_golden test_obs_sketch test_stats test_plan_cache
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
@@ -80,6 +81,7 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_engine_golden
   ./build-tsan/tests/test_obs_sketch
   ./build-tsan/tests/test_stats
+  ./build-tsan/tests/test_plan_cache
 fi
 
 echo "sanitize verify ($mode): OK"

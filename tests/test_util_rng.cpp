@@ -79,7 +79,7 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
 
 TEST(SplitMix64Test, MatchesReferenceSequence) {
   // Known-answer vectors from Vigna's reference splitmix64.c with seed 0.
-  // Replication seeds (sim::simulate_replicated) are drawn from exactly this
+  // Replication seeds (sim::replicate) are drawn from exactly this
   // stream, so these constants pin the cross-version determinism contract.
   SplitMix64 sm(0);
   EXPECT_EQ(sm.next(), 0xE220A8397B1DCDAFULL);
