@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "obs/log.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault_sweep.hpp"
 #include "sim/replicate.hpp"
 #include "obs/timer.hpp"
 #include "schemes/skyscraper.hpp"
@@ -286,6 +287,13 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   if (layout.has_value() && config.plan_cache) {
     cache.emplace(*layout);
   }
+  // The per-client fault sweep, indexed once per run (never per canonical
+  // plan, which would grow with the cache).
+  std::optional<FaultSweep> fault_sweep;
+  if (layout.has_value() && config.injector != nullptr &&
+      !config.injector->plan().empty()) {
+    fault_sweep.emplace(*layout, config.injector->plan());
+  }
   // Declared after the cache, so the blocks it still holds when the run
   // ends are written while the cache's views are alive.
   PendingReceptions pending_receptions(sink);
@@ -475,16 +483,17 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
             defer_receptions);
       }
 
-      if (config.injector != nullptr && !config.injector->plan().empty()) {
-        // Assess each planned download against the fault plan and play the
-        // recovery policy forward. Damage never becomes silent jitter: it
-        // is either repaired (catch-up on a later repetition, or a disk
-        // stall absorbed in place, both with the wait penalty recorded) or
-        // surfaced as degradation.
+      if (fault_sweep.has_value()) {
+        // Assess the downloads some episode touches against the fault plan
+        // and play the recovery policy forward; every other download is
+        // clean. Damage never becomes silent jitter: it is either repaired
+        // (catch-up on a later repetition, or a disk stall absorbed in
+        // place, both with the wait penalty recorded) or surfaced as
+        // degradation.
         // Views hand out downloads already shifted into absolute time, so
         // damage is assessed against the arrival's real windows — cached
         // plans can never alias another episode's damage.
-        for (std::size_t di = 0; di < plan.download_count(); ++di) {
+        for (const std::size_t di : fault_sweep->touched(plan)) {
           const auto d = plan.download(di);
           const double w_begin = static_cast<double>(d.start) * d1;
           const double w_end = static_cast<double>(d.end()) * d1;

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
 #include "batching/queue_policies.hpp"
+#include "client/plan_cache.hpp"
+#include "client/reception_plan.hpp"
 #include "ctrl/adaptive.hpp"
 #include "fault/plan.hpp"
 #include "net/delivery.hpp"
@@ -15,6 +18,7 @@
 #include "net/packetizer.hpp"
 #include "net/reassembly.hpp"
 #include "schemes/skyscraper.hpp"
+#include "sim/fault_sweep.hpp"
 #include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -501,6 +505,161 @@ TEST(FaultPlanTest, ChannelIndexMatchesFullScan) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// sim::FaultSweep against the per-download loop it replaces
+
+using Verdict = std::tuple<std::size_t, std::size_t, bool, bool, int, double>;
+
+/// (download index, DownloadDamage fields) of every damaged download among
+/// `indices` of `view`, assessed in the given order with sim::simulate's
+/// windows and draw keys.
+std::vector<Verdict> damaged_downloads(const Injector& injector,
+                                       const client::PlanView& view,
+                                       double d1, std::uint64_t client,
+                                       std::span<const std::size_t> indices) {
+  std::vector<Verdict> out;
+  for (const std::size_t i : indices) {
+    const auto d = view.download(i);
+    const auto damage = assess_download(
+        &injector, static_cast<double>(d.start) * d1,
+        static_cast<double>(d.end()) * d1, d.segment,
+        static_cast<double>(d.length) * d1,
+        client * 4096 + static_cast<std::uint64_t>(d.segment));
+    if (damage.damaged) {
+      out.emplace_back(i, damage.episode, damage.damaged, damage.repaired,
+                       damage.retries, damage.repaired_at_min);
+    }
+  }
+  return out;
+}
+
+// Over 200 seeded plans on SB layouts of assorted width and segment count,
+// each judged on PlanCache views and uncached plans at t0 from 0 to near
+// 2^40: the sweep names exactly the downloads some episode on their channel
+// overlaps, and assessing only those yields the per-download loop's
+// (download index, damage) sequence. Every plan also carries episodes on
+// download boundaries: restarts on a download's first and end slot, an
+// outage and a stall ending exactly where a download starts, a stall
+// starting exactly where one ends.
+TEST(FaultSweepTest, MatchesPerDownloadAssessment) {
+  util::Rng rng(20261018);
+  constexpr std::uint64_t kWidths[] = {2, 12, 52, series::kUncapped};
+  constexpr EpisodeKind kKinds[] = {
+      EpisodeKind::kChannelOutage, EpisodeKind::kLossBurst,
+      EpisodeKind::kDiskStall, EpisodeKind::kServerRestart};
+  const net::GilbertElliottLoss::Params lossy{.p_good_to_bad = 0.5,
+                                              .p_bad_to_good = 0.5,
+                                              .loss_good = 0.01,
+                                              .loss_bad = 0.9};
+  std::size_t damaged_total = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const schemes::SkyscraperScheme sb(kWidths[rng.next_below(4)]);
+    const int segments = 2 + static_cast<int>(rng.next_below(29));
+    const schemes::DesignInput input{
+        .server_bandwidth = core::MbitPerSec{1.5 * segments},
+        .num_videos = 1,
+        .video = core::VideoParams{core::Minutes{120.0},
+                                   core::MbitPerSec{1.5}},
+    };
+    const auto layout = sb.layout(input, *sb.design(input));
+    const double d1 = layout.unit_duration().v;
+    const std::uint64_t span_units = layout.total_units() + 2 * 52;
+    const std::uint64_t base_t0 =
+        trial % 2 == 0 ? span_units + rng.next_below(5000)
+                       : (std::uint64_t{1} << 40) - rng.next_below(1 << 20);
+
+    client::PlanCache cache(layout);
+    const auto base = cache.at(base_t0);
+    const auto begin_of = [&](const client::PlanView& v, std::size_t i) {
+      return static_cast<double>(v.download(i).start) * d1;
+    };
+    const auto end_of = [&](const client::PlanView& v, std::size_t i) {
+      return static_cast<double>(v.download(i).end()) * d1;
+    };
+    const double lo = begin_of(base, 0) - static_cast<double>(span_units) * d1;
+    const double span = 3.0 * static_cast<double>(span_units) * d1;
+
+    std::vector<Episode> episodes;
+    const auto add = [&](EpisodeKind kind, double start, double end,
+                         int channel) {
+      episodes.push_back(Episode{.kind = kind,
+                                 .start_min = start,
+                                 .end_min = end,
+                                 .channel = channel,
+                                 .burst = lossy});
+    };
+    const auto count = 1 + rng.next_below(10);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const auto kind = kKinds[rng.next_below(4)];
+      const bool scopable = kind == EpisodeKind::kChannelOutage ||
+                            kind == EpisodeKind::kLossBurst;
+      const double start = lo + rng.next_double() * span;
+      const double length = kind == EpisodeKind::kServerRestart
+                                ? 0.0
+                                : rng.next_double() * span / 8.0;
+      // Scoped channels run from 0 to past the last segment, so some
+      // episodes miss every download.
+      const int channel =
+          scopable && rng.next_below(4) != 0
+              ? static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(segments) + 4))
+              : -1;
+      add(kind, start, start + length, channel);
+    }
+    const std::size_t j = rng.next_below(base.download_count());
+    const int ch_j = base.download(j).segment;
+    add(EpisodeKind::kServerRestart, begin_of(base, j), begin_of(base, j), -1);
+    add(EpisodeKind::kServerRestart, end_of(base, j), end_of(base, j), -1);
+    add(EpisodeKind::kChannelOutage, begin_of(base, j) - 3.0 * d1,
+        begin_of(base, j), ch_j);
+    add(EpisodeKind::kDiskStall, begin_of(base, j) - 2.0 * d1,
+        begin_of(base, j), -1);
+    add(EpisodeKind::kDiskStall, end_of(base, j), end_of(base, j) + d1, -1);
+    const Injector injector{
+        Plan(std::move(episodes), 77 + static_cast<std::uint64_t>(trial)),
+        RecoveryPolicy{.retry_budget = static_cast<int>(rng.next_below(3))}};
+    const Plan& plan = injector.plan();
+
+    sim::FaultSweep sweep(layout, plan);
+    for (std::uint64_t client = 1; client <= 12; ++client) {
+      const std::uint64_t t0 =
+          client == 1 ? base_t0
+                      : base_t0 - span_units / 2 + rng.next_below(span_units);
+      // Odd clients read the cache; even ones plan afresh, unshifted.
+      client::ReceptionPlan fresh;
+      client::PlanView view;
+      if (client % 2 == 1) {
+        view = cache.at(t0);
+      } else {
+        fresh = client::plan_reception(layout, t0);
+        view = client::PlanView(fresh, 0, false);
+      }
+      std::vector<std::size_t> every(view.download_count());
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < every.size(); ++i) {
+        every[i] = i;
+        const auto on = plan.episodes_on(view.download(i).segment);
+        if (std::any_of(on.begin(), on.end(), [&](std::size_t e) {
+              return plan.episodes()[e].overlaps(begin_of(view, i),
+                                                 end_of(view, i));
+            })) {
+          expected.push_back(i);
+        }
+      }
+      const auto touched = sweep.touched(view);
+      const std::vector<std::size_t> got(touched.begin(), touched.end());
+      EXPECT_EQ(got, expected) << "trial " << trial << " t0 " << t0;
+      const auto naive =
+          damaged_downloads(injector, view, d1, client, every);
+      EXPECT_EQ(damaged_downloads(injector, view, d1, client, got), naive)
+          << "trial " << trial << " t0 " << t0;
+      damaged_total += naive.size();
+    }
+  }
+  // The plans are dense enough that the comparison is not vacuous.
+  EXPECT_GT(damaged_total, 1000U);
 }
 
 // ---------------------------------------------------------------------------
