@@ -226,6 +226,19 @@ void expect_flags(const util::ArgParser& args,
   }
 }
 
+/// Reads --reps. A time series samples one run, so --series-out is refused
+/// beside --reps above 1 rather than dropped.
+std::size_t replications(const util::ArgParser& args) {
+  const auto reps = static_cast<std::size_t>(args.get_count("reps", 1));
+  if (reps > 1 && args.has("series-out")) {
+    throw std::invalid_argument("--series-out samples a single run; it cannot "
+                                "be combined with --reps " +
+                                std::to_string(reps) + " for '" +
+                                args.positional(0) + "'");
+  }
+  return reps;
+}
+
 schemes::DesignInput input_from(const util::ArgParser& args,
                                 double default_bandwidth = 600.0) {
   return schemes::DesignInput{
@@ -363,13 +376,9 @@ int cmd_simulate(const util::ArgParser& args) {
   }
   const auto sampler = make_sampler(args);
   config.sampler = sampler.get();
-  const auto reps = static_cast<std::size_t>(args.get_count("reps", 1));
+  const auto reps = replications(args);
   sim::SimulationReport report;
   if (reps > 1) {
-    if (sampler != nullptr) {
-      std::fprintf(stderr,
-                   "note: --series-out is ignored when --reps > 1\n");
-    }
     const auto pool = make_pool(args);
     const auto replicated =
         sim::simulate_replicated(*scheme, input, config, reps, pool.get());
@@ -506,14 +515,10 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
       use_fcfs ? static_cast<const batching::BatchingPolicy&>(fcfs)
                : static_cast<const batching::BatchingPolicy&>(mql);
 
-  const auto reps = static_cast<std::size_t>(args.get_count("reps", 1));
+  const auto reps = replications(args);
   ctrl::AdaptiveReport report;
   double ci95 = 0.0;
   if (reps > 1) {
-    if (sampler != nullptr) {
-      std::fprintf(stderr,
-                   "note: --series-out is ignored when --reps > 1\n");
-    }
     const auto pool = make_pool(args);
     const auto replicated =
         ctrl::simulate_adaptive_replicated(policy, config, reps, pool.get());
@@ -614,13 +619,9 @@ int cmd_hybrid(const util::ArgParser& args) {
   const auto& policy =
       use_fcfs ? static_cast<const batching::BatchingPolicy&>(fcfs)
                : static_cast<const batching::BatchingPolicy&>(mql);
-  const auto reps = static_cast<std::size_t>(args.get_count("reps", 1));
+  const auto reps = replications(args);
   batching::HybridReport report;
   if (reps > 1) {
-    if (sampler != nullptr) {
-      std::fprintf(stderr,
-                   "note: --series-out is ignored when --reps > 1\n");
-    }
     const auto pool = make_pool(args);
     const auto reports = sim::replicate(
         reps, config.seed, pool.get(), config.sink,
@@ -746,7 +747,7 @@ int cmd_metro(const util::ArgParser& args) {
     config.sink = &sink;
   }
   const auto pool = make_pool(args);
-  const auto reps = static_cast<std::size_t>(args.get_count("reps", 1));
+  const auto reps = replications(args);
 
   metro::FederationReport report;
   if (reps > 1) {
@@ -822,7 +823,8 @@ int cmd_help() {
       "           (openmetrics without --metrics-out prints to stdout)\n"
       "           [--trace-out run.json|run.jsonl]\n"
       "           [--trace-limit N] [--series-out s.jsonl]\n"
-      "           [--series-interval MIN] [--series-limit N]\n"
+      "           [--series-interval MIN] [--series-limit N]  one run's\n"
+      "           time series (refused with --reps above 1)\n"
       "           [--spans-out spans.jsonl] [--spans-limit N]\n"
       "           [--spans-format jsonl|chrome|folded]  causal span tree\n"
       "           (analyze with tools/trace_analyze; hybrid accepts the\n"
