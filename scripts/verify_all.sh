@@ -3,11 +3,13 @@
 # OpenMetrics exposition self-check (simulate --metrics-format openmetrics
 # must lint clean under tools/metrics_check, including the per-title wait
 # sketch vs clients-served invariant), a strict-flags self-check (a typo'd
-# flag or --reps 0 must fail and name the flag), a span capture self-check (a seeded
+# flag, --reps 0, or --series-out beside --reps 2 must fail and name the
+# flags), a span capture self-check (a seeded
 # simulate --spans-out run must reconcile against its own --metrics-out dump
 # under tools/trace_analyze --check), a fault-injection self-check (a
-# seeded simulate --fault-plan trace must satisfy the hit = repair +
-# degraded contract under tools/trace_check --faults), a metro federation
+# seeded simulate --fault-plan run must satisfy the hit = repair +
+# degraded contract in its trace under tools/trace_check --faults and in
+# its metrics under tools/metrics_check), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
 # reproduce its stdout and metrics byte for byte at --threads 4), a quick
@@ -78,6 +80,18 @@ for bad in "--bandwdith 300" "--reps 0"; do
   fi
   grep -q -- "${bad%% *}" "$om_dir/bad.err"
 done
+# --series-out samples one run: beside --reps above 1 it must be refused,
+# naming both flags, on every command that reads both.
+for cmd in simulate "hybrid" "hybrid --adaptive"; do
+  # shellcheck disable=SC2086
+  if build/tools/vodbcast $cmd --horizon 10 --reps 2 \
+       --series-out "$om_dir/series.jsonl" 2> "$om_dir/bad.err"; then
+    echo "strict flags: '$cmd --reps 2 --series-out' was accepted" >&2
+    exit 1
+  fi
+  grep -q -- "--series-out" "$om_dir/bad.err"
+  grep -q -- "--reps" "$om_dir/bad.err"
+done
 
 echo "== metro-scale hot-path self-check =="
 # A >=100k-client campaign with the phase-keyed plan cache and streaming
@@ -110,11 +124,18 @@ build/tools/trace_analyze "$om_dir/spans.jsonl" \
   --check --metrics "$om_dir/metrics.json"
 
 echo "== fault-injection self-check =="
+# The trace shows only what the ring kept; the metrics count every hit, so
+# the hit = repair + degraded contract is checked on both.
 build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
   --horizon 240 --arrivals 4 --seed 42 \
   --fault-plan outages=2,bursts=2,stalls=1,restart=1 --fault-seed 7 \
-  --trace-out "$om_dir/faults.jsonl" --trace-limit 262144
+  --trace-out "$om_dir/faults.jsonl" --trace-limit 262144 \
+  --metrics-format openmetrics --metrics-out "$om_dir/faults.txt"
 build/tools/trace_check "$om_dir/faults.jsonl" --faults
+build/tools/metrics_check "$om_dir/faults.txt" \
+  'sum(fault_hits_total{kind=*}) == fault_repairs_total + fault_degraded_total' \
+  'fault_repair_penalty_min_count == fault_repairs_total' \
+  --verbose
 
 echo "== metro federation self-check =="
 # A seeded 4-region federation. Every arrival must be accounted for by
