@@ -234,7 +234,8 @@ double Snapshot::SketchView::quantile(double q) const {
   for (const auto& [index, n] : buckets) {
     cum += n;
     if (cum > rank) {
-      return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
+      return std::clamp(2.0 * std::pow(gamma, index) / (gamma + 1.0), min,
+                        max);
     }
   }
   return max;

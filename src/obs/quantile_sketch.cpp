@@ -145,10 +145,12 @@ double QuantileSketch::quantile(double q) const {
     cum += counts_[i];
     if (cum > rank) {
       // Midpoint of (gamma^(i-1), gamma^i]: relative error <= a at either
-      // edge.
+      // edge. Clamped to the exact extremes, so a constant stream (or a
+      // single sample) reads back exactly.
       const auto index = static_cast<std::int32_t>(
           offset_ + static_cast<std::int64_t>(i));
-      return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
+      return std::clamp(2.0 * std::pow(gamma_, index) / (gamma_ + 1.0), min_,
+                        max_);
     }
   }
   return max_;  // unreachable unless counts desynced; clamp to the max

@@ -72,8 +72,9 @@ class QuantileSketch {
   void merge_from(const QuantileSketch& other);
 
   /// Quantile estimate for q in [0, 1]; 0 when empty. Within
-  /// relative_accuracy() of a true sample value (exact 0 for zero-bucket
-  /// mass; collapsed low buckets degrade only the low quantiles).
+  /// relative_accuracy() of a true sample value and inside the exact
+  /// [min(), max()] (exact 0 for zero-bucket mass; collapsed low buckets
+  /// degrade only the low quantiles).
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] std::uint64_t count() const;

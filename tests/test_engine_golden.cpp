@@ -20,7 +20,11 @@
 // code; they pin that the shared runner reproduces every one of them.
 // Every simulate, ring and dense digest was recorded while sim::simulate
 // still assessed every download of every client against the fault plan;
-// they pin that the per-client fault sweep reproduces them.
+// they pin that the per-client fault sweep reproduces them. The simulate,
+// dense, sim_replicated_report and federation_replicated digests moved once
+// on purpose, when sketch quantiles were clamped to the exact sample range:
+// only folded p95/p99 fields that sat above their sample maximum changed
+// (largest: the federation wait p95/p99, 30.267 -> 30.0 min).
 // On a mismatch the failure message prints the new table entry.
 #include <gtest/gtest.h>
 
@@ -211,12 +215,12 @@ void expect_golden(const std::string& name, const Canon& canon) {
       {"adaptive_replicated/t7s97/seed101", "3ff2854aac1edf9b"},
       {"adaptive_replicated/t7s97/seed17", "b26bcd361c33355e"},
       {"adaptive_replicated/t7s97/seed3", "220ddc6dafb36f50"},
-      {"dense/t4096s4096/seed101", "cee53fb363412daf"},
-      {"dense/t4096s4096/seed17", "6769facf453841a8"},
-      {"dense/t4096s4096/seed3", "a3cff85f0ee43683"},
-      {"dense/t7s97/seed101", "e7efee0ab7799c11"},
-      {"dense/t7s97/seed17", "b8d5fcf3418c80ef"},
-      {"dense/t7s97/seed3", "eb931773cd056175"},
+      {"dense/t4096s4096/seed101", "846a7bc6763a94c9"},
+      {"dense/t4096s4096/seed17", "0fa2e6768005b9b2"},
+      {"dense/t4096s4096/seed3", "c182e445b470ce9d"},
+      {"dense/t7s97/seed101", "91d62bd631bac15b"},
+      {"dense/t7s97/seed17", "149ac04d611ba445"},
+      {"dense/t7s97/seed3", "77ba3e50154385e7"},
       {"federation/seed101/nosink/clean", "5a304e99ad00a36c"},
       {"federation/seed101/nosink/faults", "25269a35305c533c"},
       {"federation/seed101/sink/clean", "660a1b9074a6b12c"},
@@ -229,9 +233,9 @@ void expect_golden(const std::string& name, const Canon& canon) {
       {"federation/seed3/nosink/faults", "784226f50474f155"},
       {"federation/seed3/sink/clean", "35180346fde7e0a4"},
       {"federation/seed3/sink/faults", "ffb8b7853e94bff9"},
-      {"federation_replicated/seed101/sink/faults", "cffb0ada8e9bce85"},
-      {"federation_replicated/seed17/sink/faults", "935b5732f34a35b0"},
-      {"federation_replicated/seed3/sink/faults", "2adf7ac9158e72c9"},
+      {"federation_replicated/seed101/sink/faults", "6256a4fd93db556d"},
+      {"federation_replicated/seed17/sink/faults", "c6d9c4938c2aa5b0"},
+      {"federation_replicated/seed3/sink/faults", "66cef491ff5745c1"},
       {"hybrid/seed101/nosink/patient", "e0644ba4468eb555"},
       {"hybrid/seed101/nosink/reneging", "01755da7918ba0c5"},
       {"hybrid/seed101/sink/patient", "c14bb0679e5e6a35"},
@@ -292,21 +296,21 @@ void expect_golden(const std::string& name, const Canon& canon) {
       {"ring_shared/t97s7/seed101", "695d351df467265a"},
       {"ring_shared/t97s7/seed17", "c7c412413452d8fe"},
       {"ring_shared/t97s7/seed3", "6e7c19cd60272124"},
-      {"sim_replicated_report/seed101", "16f31166fa66f13d"},
-      {"sim_replicated_report/seed17", "961866f20db38c5e"},
-      {"sim_replicated_report/seed3", "df088952457c36ac"},
-      {"simulate/seed101/nosink/clean", "3a9e2caca8373deb"},
-      {"simulate/seed101/nosink/faults", "08c65946c2699ac2"},
-      {"simulate/seed101/sink/clean", "1bfc9bccd84269ee"},
-      {"simulate/seed101/sink/faults", "56008f81f7ab799b"},
-      {"simulate/seed17/nosink/clean", "3a3afb389d090bc0"},
-      {"simulate/seed17/nosink/faults", "7d3b0ec6d8cfebaa"},
-      {"simulate/seed17/sink/clean", "985baa073fa858c9"},
-      {"simulate/seed17/sink/faults", "780dbe7080f813ea"},
-      {"simulate/seed3/nosink/clean", "8586d0132076ed6e"},
-      {"simulate/seed3/nosink/faults", "5f6ebbb65cf5b31b"},
-      {"simulate/seed3/sink/clean", "f0402be29d361d44"},
-      {"simulate/seed3/sink/faults", "8331f55e2c77237a"},
+      {"sim_replicated_report/seed101", "d9f5c06960f8faab"},
+      {"sim_replicated_report/seed17", "357b054c829c6a4c"},
+      {"sim_replicated_report/seed3", "629bef4e16761dfe"},
+      {"simulate/seed101/nosink/clean", "0071fd2098388ee5"},
+      {"simulate/seed101/nosink/faults", "43c2116b1230c8ec"},
+      {"simulate/seed101/sink/clean", "7697c4b39fe30f68"},
+      {"simulate/seed101/sink/faults", "574d28e5dd5d0bf9"},
+      {"simulate/seed17/nosink/clean", "84369e49f325543e"},
+      {"simulate/seed17/nosink/faults", "de489c6137a1ac80"},
+      {"simulate/seed17/sink/clean", "db1f0a3eebfada63"},
+      {"simulate/seed17/sink/faults", "ee5c2ade906c9468"},
+      {"simulate/seed3/nosink/clean", "a20760c2d44876ec"},
+      {"simulate/seed3/nosink/faults", "c091e79e22ce2080"},
+      {"simulate/seed3/sink/clean", "0c7748f784d1c0b2"},
+      {"simulate/seed3/sink/faults", "5fbc2ade60f1e517"},
   };
   const auto actual = canon.digest();
   const auto it = kGolden.find(name);

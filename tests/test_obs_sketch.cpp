@@ -72,6 +72,47 @@ TEST(QuantileSketchTest, SingleSampleAllQuantilesAgree) {
   }
 }
 
+TEST(QuantileSketchTest, QuantilesStayInsideTheExactRange) {
+  // A bucket midpoint can sit above every sample in its bucket; the exact
+  // extremes bound the estimate, so constant streams read back exactly.
+  QuantileSketch constant;
+  for (int i = 0; i < 100; ++i) {
+    constant.observe(30.0);
+  }
+  QuantileSketch one_run;
+  one_run.observe(4.98e9);  // one 4.98 s timing in ns
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(constant.quantile(q), 30.0) << "q=" << q;
+    EXPECT_EQ(one_run.quantile(q), 4.98e9) << "q=" << q;
+  }
+  util::Rng rng(17);
+  QuantileSketch spread;
+  for (int i = 0; i < 1000; ++i) {
+    spread.observe(std::exp(rng.next_double() * 10.0 - 2.0));
+  }
+  for (int k = 0; k <= 1000; ++k) {
+    const double est = spread.quantile(static_cast<double>(k) / 1000.0);
+    EXPECT_GE(est, spread.min());
+    EXPECT_LE(est, spread.max());
+  }
+}
+
+TEST(QuantileSketchTest, SnapshotQuantilesStayInsideTheExactRange) {
+  Registry registry;
+  auto& s = registry.sketch("wait");
+  for (int i = 0; i < 100; ++i) {
+    s.observe(30.0);
+  }
+  const auto snap = registry.snapshot();
+  ASSERT_EQ(snap.sketches.size(), 1U);
+  const auto& view = snap.sketches[0];
+  EXPECT_EQ(view.p50, 30.0);
+  EXPECT_EQ(view.p95, 30.0);
+  EXPECT_EQ(view.p99, 30.0);
+  EXPECT_EQ(view.p999, 30.0);
+  EXPECT_EQ(view.quantile(1.0), 30.0);
+}
+
 TEST(QuantileSketchTest, ZeroAndNegativeSamplesLandInZeroBucket) {
   QuantileSketch s;
   s.observe(0.0);
@@ -347,7 +388,8 @@ class MapReferenceSketch {
     for (const auto& [index, n] : buckets_) {
       cum += n;
       if (cum > rank) {
-        return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
+        return std::clamp(2.0 * std::pow(gamma_, index) / (gamma_ + 1.0),
+                          min_, max_);
       }
     }
     return max_;
