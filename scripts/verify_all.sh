@@ -3,8 +3,8 @@
 # OpenMetrics exposition self-check (simulate --metrics-format openmetrics
 # must lint clean under tools/metrics_check, including the per-title wait
 # sketch vs clients-served invariant), a strict-flags self-check (a typo'd
-# flag, --reps 0, or --series-out beside --reps 2 must fail and name the
-# flags), a span capture self-check (a seeded
+# flag, --reps 0, --series-out beside --reps 2 or a zero horizon must fail
+# and name the flags), a span capture self-check (a seeded
 # simulate --spans-out run must reconcile against its own --metrics-out dump
 # under tools/trace_analyze --check), a fault-injection self-check (a
 # seeded simulate --fault-plan run must satisfy the hit = repair +
@@ -80,6 +80,12 @@ for bad in "--bandwdith 300" "--reps 0"; do
   fi
   grep -q -- "${bad%% *}" "$om_dir/bad.err"
 done
+# A zero horizon would print an empty run as a success; it must be refused.
+if build/tools/vodbcast simulate --horizon 0 2> "$om_dir/bad.err"; then
+  echo "strict flags: 'simulate --horizon 0' was accepted" >&2
+  exit 1
+fi
+grep -q -- "horizon" "$om_dir/bad.err"
 # --series-out samples one run: beside --reps above 1 it must be refused,
 # naming both flags, on every command that reads both.
 for cmd in simulate "hybrid" "hybrid --adaptive"; do

@@ -1,6 +1,8 @@
 #include "batching/scheduled_multicast.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
@@ -249,6 +251,11 @@ MulticastReport simulate_scheduled_multicast(
   VB_EXPECTS(config.channels >= 1);
   VB_EXPECTS(config.video_length.v > 0.0);
   VB_EXPECTS(num_videos >= 1);
+  if (!(config.horizon.v > 0.0)) {
+    throw std::invalid_argument(
+        "scheduled multicast horizon must be positive, got " +
+        std::to_string(config.horizon.v) + " min");
+  }
   // The run walks `requests` with a cursor, so check the stream up front:
   // in range, and in nondecreasing arrival order.
   for (std::size_t i = 0; i < requests.size(); ++i) {

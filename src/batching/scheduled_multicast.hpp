@@ -55,7 +55,8 @@ struct MulticastReport {
 /// Simulates the policy on a pre-generated request stream. Preconditions
 /// (util::ContractViolation): arrivals in nondecreasing order, every video
 /// id below `num_videos`. Requests arriving after config.horizon are
-/// ignored.
+/// ignored. Throws std::invalid_argument when config.horizon is not
+/// positive (or NaN).
 [[nodiscard]] MulticastReport simulate_scheduled_multicast(
     const BatchingPolicy& policy, const std::vector<workload::Request>& requests,
     std::size_t num_videos, const MulticastConfig& config);

@@ -6,6 +6,8 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "client/plan_cache.hpp"
 #include "client/reception_plan.hpp"
@@ -218,6 +220,12 @@ class PendingReceptions {
 SimulationReport simulate(const schemes::BroadcastScheme& scheme,
                           const schemes::DesignInput& input,
                           const SimulationConfig& config) {
+  // Caller-facing: a zero, negative or NaN horizon would report an empty
+  // run as if it had succeeded.
+  if (!(config.horizon.v > 0.0)) {
+    throw std::invalid_argument("simulate horizon must be positive, got " +
+                                std::to_string(config.horizon.v) + " min");
+  }
   const auto design = scheme.design(input);
   VB_EXPECTS_MSG(design.has_value(), "scheme infeasible at this bandwidth");
 

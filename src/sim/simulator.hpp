@@ -79,7 +79,8 @@ struct SimulationReport {
 };
 
 /// Simulates `scheme` on `input` under the given workload.
-/// Precondition: the scheme is feasible at input.server_bandwidth.
+/// Precondition: the scheme is feasible at input.server_bandwidth. Throws
+/// std::invalid_argument when config.horizon is not positive (or NaN).
 [[nodiscard]] SimulationReport simulate(const schemes::BroadcastScheme& scheme,
                                         const schemes::DesignInput& input,
                                         const SimulationConfig& config);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
+#include "batching/hybrid.hpp"
 #include "batching/queue_policies.hpp"
 #include "batching/scheduled_multicast.hpp"
 #include "obs/sink.hpp"
@@ -127,6 +131,23 @@ TEST(ScheduledMulticastTest, RejectsBadConfig) {
   config.channels = 0;
   EXPECT_THROW((void)simulate_scheduled_multicast(MqlPolicy(), {}, 3, config),
                util::ContractViolation);
+}
+
+TEST(ScheduledMulticastTest, RejectsNonPositiveHorizon) {
+  for (const double horizon :
+       {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    MulticastConfig config;
+    config.horizon = core::Minutes{horizon};
+    EXPECT_THROW(
+        (void)simulate_scheduled_multicast(MqlPolicy(), {}, 3, config),
+        std::invalid_argument)
+        << "horizon " << horizon;
+    HybridConfig hybrid;
+    hybrid.horizon = core::Minutes{horizon};
+    EXPECT_THROW((void)evaluate_hybrid(MqlPolicy(), hybrid),
+                 std::invalid_argument)
+        << "horizon " << horizon;
+  }
 }
 
 TEST(ScheduledMulticastTest, RejectsOutOfRangeVideoIds) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,22 @@ TEST(SimulatorTest, SkyscraperClientsAreJitterFreeWithBoundedBuffers) {
   EXPECT_LE(report.max_concurrent_downloads, 2);
   ASSERT_FALSE(report.buffer_peak_mbits.empty());
   EXPECT_LE(report.buffer_peak_mbits.max(), metrics.client_buffer.v + 1e-6);
+}
+
+TEST(SimulatorTest, RejectsNonPositiveHorizon) {
+  const schemes::SkyscraperScheme sb(52);
+  const auto input = paper_input(300.0);
+  for (const double horizon :
+       {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SimulationConfig config;
+    config.horizon = core::Minutes{horizon};
+    try {
+      (void)simulate(sb, input, config);
+      ADD_FAILURE() << "horizon " << horizon << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("horizon"), std::string::npos);
+    }
+  }
 }
 
 TEST(SimulatorTest, SimulatedBufferPeakReachesTheBound) {
