@@ -6,14 +6,17 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "batching/hybrid.hpp"
 #include "batching/queue_policies.hpp"
 #include "ctrl/adaptive.hpp"
 #include "ctrl/allocator.hpp"
 #include "ctrl/popularity.hpp"
 #include "obs/sink.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 #include "util/task_pool.hpp"
 #include "workload/zipf.hpp"
 
@@ -230,6 +233,72 @@ TEST(AdaptiveSimTest, StaticModeRunsNoEpochs) {
   // Hot clients never wait longer than the SB bound D1.
   EXPECT_LE(report.hot_wait_minutes.max(),
             report.broadcast_worst_latency.v + 1e-9);
+}
+
+// With the controller off, the adaptive engine runs evaluate_hybrid's
+// static split on the same seeded stream, so the tails must agree exactly
+// (patience off: the adaptive tail never reneges). Seeded random configs.
+TEST(AdaptiveSimTest, StaticRunReproducesTheHybridTail) {
+  util::Rng rng(424242);
+  const batching::MqlPolicy mql;
+  const batching::FcfsPolicy fcfs;
+  std::uint64_t tail_served = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t catalog = 5 + rng.next_below(120);
+    const std::size_t hot = 1 + rng.next_below(catalog);
+    const int k = 1 + static_cast<int>(rng.next_below(8));
+    const int tail_channels = 1 + static_cast<int>(rng.next_below(60));
+    const double rate = 0.5 + 0.1 * static_cast<double>(rng.next_below(200));
+    const double horizon = 200.0 + static_cast<double>(rng.next_below(1801));
+    const std::uint64_t seed = rng.next_u64();
+    const core::VideoParams video{};
+    const core::MbitPerSec bandwidth{
+        video.display_rate.v *
+        static_cast<double>(static_cast<std::size_t>(k) * hot +
+                            static_cast<std::size_t>(tail_channels))};
+
+    batching::HybridConfig hybrid;
+    hybrid.total_bandwidth = bandwidth;
+    hybrid.catalog_size = catalog;
+    hybrid.hot_titles = hot;
+    hybrid.broadcast_channels_per_video = k;
+    hybrid.video = video;
+    hybrid.arrivals_per_minute = rate;
+    hybrid.horizon = core::Minutes{horizon};
+    hybrid.seed = seed;
+
+    ctrl::AdaptiveConfig adaptive;
+    adaptive.total_bandwidth = bandwidth;
+    adaptive.catalog_size = catalog;
+    adaptive.hot_titles = hot;
+    adaptive.broadcast_channels_per_video = k;
+    adaptive.video = video;
+    adaptive.arrivals_per_minute = rate;
+    adaptive.horizon = core::Minutes{horizon};
+    adaptive.epoch = core::Minutes{0.0};
+    adaptive.seed = seed;
+
+    for (const batching::BatchingPolicy* policy :
+         {static_cast<const batching::BatchingPolicy*>(&mql),
+          static_cast<const batching::BatchingPolicy*>(&fcfs)}) {
+      const auto expected = batching::evaluate_hybrid(*policy, hybrid);
+      const auto actual = ctrl::simulate_adaptive(*policy, adaptive);
+      const std::string where = "trial " + std::to_string(trial) + " " +
+                                policy->name() + ": catalog " +
+                                std::to_string(catalog) + ", hot " +
+                                std::to_string(hot) + ", K " +
+                                std::to_string(k);
+      EXPECT_EQ(actual.served_tail, expected.multicast.served) << where;
+      EXPECT_EQ(actual.tail_wait_minutes.samples(),
+                expected.multicast.wait_minutes.samples())
+          << where;
+      EXPECT_EQ(actual.broadcast_worst_latency.v,
+                expected.broadcast_worst_latency.v)
+          << where;
+      tail_served += actual.served_tail;
+    }
+  }
+  EXPECT_GT(tail_served, 0U);
 }
 
 TEST(AdaptiveSimTest, FlipReconvergesAndBeatsStatic) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "metro/placement.hpp"
@@ -10,6 +12,7 @@
 #include "metro/topology.hpp"
 #include "obs/sink.hpp"
 #include "schemes/skyscraper.hpp"
+#include "util/rng.hpp"
 #include "workload/zipf.hpp"
 
 namespace vodbcast::metro {
@@ -268,6 +271,70 @@ TEST(FederationTest, ConservationAndReportsConsistent) {
   ASSERT_TRUE(eval.has_value());
   EXPECT_DOUBLE_EQ(report.broadcast_latency_min,
                    eval->metrics.access_latency.v);
+}
+
+// Conservation on seeded random topologies of 1-8 regions, with and
+// without one region dark for the whole horizon: every arrival is served
+// locally, rerouted or rejected, regions add up to the totals, and every
+// reroute leaves one region and enters another.
+TEST(FederationTest, ConservationHoldsOnRandomTopologies) {
+  util::Rng rng(8128);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 1 + rng.next_below(8);
+    std::vector<RegionSpec> regions;
+    for (std::size_t r = 0; r < n; ++r) {
+      regions.push_back(
+          {1.0 + static_cast<double>(rng.next_below(120)),
+           40 + static_cast<int>(rng.next_below(120))});
+    }
+    const Topology topo(std::move(regions),
+                        static_cast<int>(rng.next_below(12)),
+                        core::Minutes{0.5});
+    FederationConfig config;
+    config.catalog_size = 10 + rng.next_below(60);
+    config.replicate_top = rng.next_below(8);
+    config.horizon =
+        core::Minutes{30.0 + static_cast<double>(rng.next_below(150))};
+    config.seed = rng.next_u64();
+    for (const bool dark : {false, true}) {
+      if (dark) {
+        config.fault_plans.assign(n, {});
+        config.fault_plans[rng.next_below(n)] = fault::Plan(
+            {fault::Episode{fault::EpisodeKind::kChannelOutage, 0.0,
+                            config.horizon.v, -1, {}}},
+            1);
+      }
+      const auto report = simulate_federation(topo, config);
+      const std::string where = "trial " + std::to_string(trial) + ", " +
+                                std::to_string(n) + " regions" +
+                                (dark ? ", one dark" : "");
+      EXPECT_GT(report.arrivals, 0U) << where;
+      EXPECT_EQ(report.served_local + report.rerouted + report.rejected,
+                report.arrivals)
+          << where;
+      ASSERT_EQ(report.regions.size(), n) << where;
+      std::uint64_t arrivals = 0;
+      std::uint64_t served_local = 0;
+      std::uint64_t rejected = 0;
+      std::uint64_t rerouted_out = 0;
+      std::uint64_t rerouted_in = 0;
+      for (const auto& region : report.regions) {
+        EXPECT_EQ(region.served_local + region.rerouted_out + region.rejected,
+                  region.arrivals)
+            << where;
+        arrivals += region.arrivals;
+        served_local += region.served_local;
+        rejected += region.rejected;
+        rerouted_out += region.rerouted_out;
+        rerouted_in += region.rerouted_in;
+      }
+      EXPECT_EQ(arrivals, report.arrivals) << where;
+      EXPECT_EQ(served_local, report.served_local) << where;
+      EXPECT_EQ(rejected, report.rejected) << where;
+      EXPECT_EQ(rerouted_out, report.rerouted) << where;
+      EXPECT_EQ(rerouted_out, rerouted_in) << where;
+    }
+  }
 }
 
 TEST(FederationTest, MetricsFamiliesConserveArrivals) {

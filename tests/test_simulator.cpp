@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -11,7 +12,9 @@
 #include "schemes/pyramid.hpp"
 #include "schemes/skyscraper.hpp"
 #include "schemes/staggered.hpp"
+#include "series/broadcast_series.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::sim {
 namespace {
@@ -57,6 +60,59 @@ TEST(SimulatorTest, SkyscraperClientsAreJitterFreeWithBoundedBuffers) {
   EXPECT_LE(report.max_concurrent_downloads, 2);
   ASSERT_FALSE(report.buffer_peak_mbits.empty());
   EXPECT_LE(report.buffer_peak_mbits.max(), metrics.client_buffer.v + 1e-6);
+}
+
+// The paper's guarantees for SB clients, on seeded random configurations
+// over the paper's widths: no wait beyond the access latency D1 (Table 1),
+// at most two loaders, no jitter, and a buffer peak within the designed
+// client buffer.
+TEST(SimulatorTest, PaperBoundsHoldOnRandomConfigs) {
+  util::Rng rng(1997);
+  int checked = 0;
+  for (const std::uint64_t width :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{5},
+        std::uint64_t{12}, std::uint64_t{25}, std::uint64_t{52},
+        std::uint64_t{105}, series::kUncapped}) {
+    const schemes::SkyscraperScheme sb(width);
+    for (int trial = 0; trial < 15; ++trial) {
+      const schemes::DesignInput input{
+          .server_bandwidth =
+              core::MbitPerSec{60.0 + 6.0 * static_cast<double>(
+                                                rng.next_below(100))},
+          .num_videos = 1 + static_cast<int>(rng.next_below(10)),
+          .video = core::VideoParams{
+              core::Minutes{30.0 + static_cast<double>(rng.next_below(91))},
+              core::MbitPerSec{1.5}},
+      };
+      const auto evaluation = sb.evaluate(input);
+      if (!evaluation.has_value()) {
+        continue;
+      }
+      SimulationConfig config;
+      config.horizon =
+          core::Minutes{60.0 + static_cast<double>(rng.next_below(181))};
+      config.arrivals_per_minute =
+          0.5 + 0.1 * static_cast<double>(rng.next_below(40));
+      config.seed = rng.next_u64();
+      config.plan_clients = true;
+      const auto report = simulate(sb, input, config);
+      const auto& metrics = evaluation->metrics;
+      const std::string where = sb.name() + " at " +
+                                std::to_string(input.server_bandwidth.v) +
+                                " Mb/s, seed " + std::to_string(config.seed);
+      ASSERT_GT(report.clients_served, 0U) << where;
+      EXPECT_LE(report.latency_minutes.max(),
+                metrics.access_latency.v * (1.0 + 1e-9))
+          << where;
+      EXPECT_LE(report.max_concurrent_downloads, 2) << where;
+      EXPECT_EQ(report.jitter_events, 0U) << where;
+      EXPECT_LE(report.buffer_peak_mbits.max(),
+                metrics.client_buffer.v * (1.0 + 1e-9))
+          << where;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 100);
 }
 
 TEST(SimulatorTest, RejectsNonPositiveHorizon) {
