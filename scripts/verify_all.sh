@@ -105,6 +105,12 @@ echo "== metro-scale hot-path self-check =="
 # accounted (hits + misses == clients served), and turning the cache off
 # changes nothing in the report — byte-identical stdout, so the wait
 # distribution, client count, and buffer peak all match exactly.
+# Every timed call leaves exactly one timing sample: one per fired event,
+# one per plan-cache hit and one per planned (missed) reception.
+timing_asserts=(
+  'sim_event_queue_callback_ns_count == sim_event_queue_fired_total'
+  'client_plan_cache_hit_ns_count == sim_plan_cache_hits_total'
+  'client_plan_reception_ns_count == sim_plan_cache_misses_total')
 metro_args=(--scheme SB:W=52 --bandwidth 600 --videos 20
             --horizon 600 --arrivals 200 --seed 7 --stats-cap 4096)
 build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 1 \
@@ -112,6 +118,7 @@ build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 1 \
   > "$om_dir/metro_cache_on.txt"
 build/tools/metrics_check "$om_dir/metro.txt" \
   'sim_plan_cache_hits_total + sim_plan_cache_misses_total == sim_clients_served_total' \
+  "${timing_asserts[@]}" \
   --verbose
 build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 0 \
   > "$om_dir/metro_cache_off.txt"
@@ -141,6 +148,7 @@ build/tools/trace_check "$om_dir/faults.jsonl" --faults
 build/tools/metrics_check "$om_dir/faults.txt" \
   'sum(fault_hits_total{kind=*}) == fault_repairs_total + fault_degraded_total' \
   'fault_repair_penalty_min_count == fault_repairs_total' \
+  "${timing_asserts[@]}" \
   --verbose
 
 echo "== metro federation self-check =="
