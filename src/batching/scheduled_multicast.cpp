@@ -106,7 +106,7 @@ struct MulticastSim {
   obs::Counter* reneged_counter;
   obs::Gauge* depth_peak;
   obs::Histogram* dispatch_ns;
-  obs::Histogram* batch_hist;
+  obs::QuantileSketch* batch_sizes;
   /// Pre-resolved per-title instruments (empty when no sink): one slot per
   /// video id so the dispatch loop never does a label lookup.
   std::vector<obs::QuantileSketch*> wait_by_title;
@@ -179,7 +179,7 @@ struct MulticastSim {
     if (sink != nullptr) {
       batches_counter->add();
       served_counter->add(batch);
-      batch_hist->observe(static_cast<double>(batch));
+      batch_sizes->observe(static_cast<double>(batch));
       sink->trace.record(obs::TraceEvent{
           .sim_time_min = now,
           .kind = obs::EventKind::kBatchFire,
@@ -275,7 +275,7 @@ MulticastReport simulate_scheduled_multicast(
   obs::Counter* reneged_counter = nullptr;
   obs::Gauge* depth_peak = nullptr;
   obs::Histogram* dispatch_ns = nullptr;
-  obs::Histogram* batch_hist = nullptr;
+  obs::QuantileSketch* batch_sizes = nullptr;
   std::vector<obs::QuantileSketch*> wait_by_title;
   std::vector<obs::Counter*> renege_by_title;
   if (sink != nullptr) {
@@ -285,8 +285,7 @@ MulticastReport simulate_scheduled_multicast(
     depth_peak = &sink->metrics.gauge("batching.queue_depth_peak");
     dispatch_ns = &sink->metrics.histogram("batching.dispatch_ns",
                                            obs::default_time_bounds_ns());
-    batch_hist = &sink->metrics.histogram(
-        "batching.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+    batch_sizes = &sink->metrics.sketch("batching.batch_size");
     // Per-title series resolved once; the dispatch/clean hot paths index by
     // video id. Sized to the catalog so no title folds into overflow.
     auto& wait_family = sink->metrics.sketch_family(
@@ -326,7 +325,7 @@ MulticastReport simulate_scheduled_multicast(
       .reneged_counter = reneged_counter,
       .depth_peak = depth_peak,
       .dispatch_ns = dispatch_ns,
-      .batch_hist = batch_hist,
+      .batch_sizes = batch_sizes,
       .wait_by_title = std::move(wait_by_title),
       .renege_by_title = std::move(renege_by_title),
       .free_channels = config.channels,

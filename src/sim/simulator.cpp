@@ -327,7 +327,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   // Instrument handles resolved once, outside the per-client loop.
   obs::Counter* clients_counter = nullptr;
   obs::Counter* jitter_counter = nullptr;
-  obs::Histogram* wait_hist = nullptr;
   obs::Histogram* plan_ns = nullptr;
   obs::Histogram* plan_cache_hit_ns = nullptr;
   obs::QuantileSketch* wait_sketch = nullptr;
@@ -340,8 +339,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
     fault_metrics.emplace(sink->metrics);
     clients_counter = &sink->metrics.counter("sim.clients_served");
     jitter_counter = &sink->metrics.counter("sim.jitter_events");
-    wait_hist = &sink->metrics.histogram("sim.tune_wait_min",
-                                         obs::default_latency_bounds_min());
     wait_sketch = &sink->metrics.sketch("sim.tune_wait_sketch_min");
     auto& wait_family = sink->metrics.sketch_family(
         "sb.client.wait", {"title"}, {},
@@ -378,7 +375,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
     std::uint64_t session_span = 0;
     if (sink != nullptr) {
       clients_counter->add();
-      wait_hist->observe(wait);
       wait_sketch->observe(wait);
       title_wait[static_cast<std::size_t>(request.video)]->observe(wait);
       sink->trace.record(obs::TraceEvent{
