@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
 
   // Evidence run, untimed: same campaign with the session sink attached so
   // the hit/miss counters and the plan_cache_hit_ns vs plan_reception_ns
-  // A/B histograms land in the committed result's metrics footer.
+  // A/B timing sketches land in the committed result's metrics footer.
   auto evidence_config = make_config(true, true);
   evidence_config.sink = &session.sink();
   const auto evidence = sim::simulate(scheme, input, evidence_config);

@@ -105,7 +105,7 @@ struct MulticastSim {
   obs::Counter* served_counter;
   obs::Counter* reneged_counter;
   obs::Gauge* depth_peak;
-  obs::Histogram* dispatch_ns;
+  obs::QuantileSketch* dispatch_ns;
   obs::QuantileSketch* batch_sizes;
   /// Pre-resolved per-title instruments (empty when no sink): one slot per
   /// video id so the dispatch loop never does a label lookup.
@@ -274,7 +274,7 @@ MulticastReport simulate_scheduled_multicast(
   obs::Counter* served_counter = nullptr;
   obs::Counter* reneged_counter = nullptr;
   obs::Gauge* depth_peak = nullptr;
-  obs::Histogram* dispatch_ns = nullptr;
+  obs::QuantileSketch* dispatch_ns = nullptr;
   obs::QuantileSketch* batch_sizes = nullptr;
   std::vector<obs::QuantileSketch*> wait_by_title;
   std::vector<obs::Counter*> renege_by_title;
@@ -283,8 +283,7 @@ MulticastReport simulate_scheduled_multicast(
     served_counter = &sink->metrics.counter("batching.served");
     reneged_counter = &sink->metrics.counter("batching.reneged");
     depth_peak = &sink->metrics.gauge("batching.queue_depth_peak");
-    dispatch_ns = &sink->metrics.histogram("batching.dispatch_ns",
-                                           obs::default_time_bounds_ns());
+    dispatch_ns = &sink->metrics.sketch("batching.dispatch_ns");
     batch_sizes = &sink->metrics.sketch("batching.batch_size");
     // Per-title series resolved once; the dispatch/clean hot paths index by
     // video id. Sized to the catalog so no title folds into overflow.

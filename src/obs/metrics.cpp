@@ -81,25 +81,6 @@ std::string series_key(const std::string& name,
   return key;
 }
 
-Snapshot::HistogramView make_histogram_view(const std::string& name,
-                                            const Histogram& h,
-                                            Snapshot::Labels labels) {
-  Snapshot::HistogramView view;
-  view.name = name;
-  view.labels = std::move(labels);
-  view.bounds = h.bounds();
-  view.buckets.resize(h.bucket_count());
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-    view.buckets[i] = h.bucket(i);
-  }
-  view.count = h.count();
-  view.sum = h.sum();
-  view.p50 = view.quantile(0.50);
-  view.p95 = view.quantile(0.95);
-  view.p99 = view.quantile(0.99);
-  return view;
-}
-
 Snapshot::SketchView make_sketch_view(const std::string& name,
                                       const QuantileSketch& s,
                                       Snapshot::Labels labels) {
@@ -141,83 +122,6 @@ void Gauge::add(double delta) noexcept {
 
 void Gauge::max_of(double v) noexcept {
   update_double(value_, [v](double cur) { return std::max(cur, v); });
-}
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  VB_EXPECTS(!bounds_.empty());
-  VB_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
-  VB_EXPECTS(std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-             bounds_.end());
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bucket_count());
-  for (std::size_t i = 0; i < bucket_count(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-void Histogram::observe(double sample) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  const auto index = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  update_double(sum_, [sample](double cur) { return cur + sample; });
-}
-
-double Histogram::mean() const noexcept {
-  const auto n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-void Histogram::merge_from(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument(
-        "histogram merge: bucket bounds mismatch; adding buckets "
-        "positionally across different grids would silently mis-fold");
-  }
-  for (std::size_t i = 0; i < bucket_count(); ++i) {
-    buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  const double delta = other.sum_.load(std::memory_order_relaxed);
-  update_double(sum_, [delta](double cur) { return cur + delta; });
-}
-
-std::vector<double> default_time_bounds_ns() {
-  std::vector<double> bounds;
-  for (double b = 1e3; b <= 1e9; b *= 4.0) {  // 1us .. ~1s, 11 buckets
-    bounds.push_back(b);
-  }
-  return bounds;
-}
-
-std::vector<double> default_latency_bounds_min() {
-  return {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0};
-}
-
-double Snapshot::HistogramView::quantile(double q) const {
-  VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (count == 0) {
-    return 0.0;
-  }
-  const double target = q * static_cast<double>(count);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const double in_bucket = static_cast<double>(buckets[i]);
-    cum += in_bucket;
-    if (cum < target || in_bucket == 0.0) {
-      continue;
-    }
-    if (i >= bounds.size()) {
-      return bounds.back();  // overflow bucket: clamp to last finite bound
-    }
-    const double upper = bounds[i];
-    const double lower = i == 0 ? std::min(0.0, upper) : bounds[i - 1];
-    const double frac = (target - (cum - in_bucket)) / in_bucket;
-    return lower + (upper - lower) * frac;
-  }
-  return bounds.back();
 }
 
 double Snapshot::SketchView::quantile(double q) const {
@@ -274,17 +178,6 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
-  const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kHistogram);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
-}
-
 QuantileSketch& Registry::sketch(const std::string& name,
                                  QuantileSketch::Options options) {
   const std::scoped_lock lock(mutex_);
@@ -326,23 +219,6 @@ Family<Gauge>& Registry::gauge_family(const std::string& name,
   return *slot;
 }
 
-Family<Histogram>& Registry::histogram_family(
-    const std::string& name, std::vector<std::string> label_keys,
-    std::vector<double> bounds, std::size_t max_series) {
-  const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kHistogramFamily);
-  auto& slot = histogram_families_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Family<Histogram>>(
-        std::move(label_keys), max_series,
-        [bounds = std::move(bounds)] {
-          return std::make_unique<Histogram>(bounds);
-        },
-        &counter_locked(kLabelsDroppedName));
-  }
-  return *slot;
-}
-
 Family<QuantileSketch>& Registry::sketch_family(
     const std::string& name, std::vector<std::string> label_keys,
     QuantileSketch::Options options, std::size_t max_series) {
@@ -379,17 +255,6 @@ void Registry::merge_from(const Registry& other) {
     }
     slot->max_of(g->value());
   }
-  for (const auto& [name, h] : other.histograms_) {
-    auto& slot = histograms_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Histogram>(h->bounds());
-    }
-    try {
-      slot->merge_from(*h);
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
   for (const auto& [name, s] : other.sketches_) {
     auto& slot = sketches_[name];
     if (slot == nullptr) {
@@ -423,21 +288,6 @@ void Registry::merge_from(const Registry& other) {
       dst.max_of(src.value());
     });
   }
-  for (const auto& [name, f] : other.histogram_families_) {
-    auto& slot = histogram_families_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Family<Histogram>>(
-          f->label_keys(), f->max_series(), f->factory(),
-          &counter_locked(kLabelsDroppedName));
-    }
-    try {
-      slot->merge_from(*f, [](Histogram& dst, const Histogram& src) {
-        dst.merge_from(src);
-      });
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
   for (const auto& [name, f] : other.sketch_families_) {
     auto& slot = sketch_families_[name];
     if (slot == nullptr) {
@@ -467,10 +317,6 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->value());
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.push_back(make_histogram_view(name, *h, {}));
-  }
   for (const auto& [name, s] : sketches_) {
     snap.sketches.push_back(make_sketch_view(name, *s, {}));
   }
@@ -491,13 +337,6 @@ Snapshot Registry::snapshot() const {
       view.labels = make_labels(f->label_keys(), values);
       view.value = g.value();
       snap.family_gauges.push_back(std::move(view));
-    });
-  }
-  for (const auto& [name, f] : histogram_families_) {
-    f->for_each([&](const std::vector<std::string>& values,
-                    const Histogram& h) {
-      snap.histograms.push_back(make_histogram_view(
-          name, h, make_labels(f->label_keys(), values)));
     });
   }
   for (const auto& [name, f] : sketch_families_) {
@@ -537,22 +376,6 @@ std::string Registry::to_json() const {
        << "\":" << json_number(g.value);
     first = false;
   }
-  os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i ? "," : "") << '"' << json_escape(series_key(h.name, h.labels))
-       << "\":{\"bounds\":[";
-    for (std::size_t j = 0; j < h.bounds.size(); ++j) {
-      os << (j ? "," : "") << json_number(h.bounds[j]);
-    }
-    os << "],\"buckets\":[";
-    for (std::size_t j = 0; j < h.buckets.size(); ++j) {
-      os << (j ? "," : "") << h.buckets[j];
-    }
-    os << "],\"count\":" << h.count << ",\"sum\":" << json_number(h.sum)
-       << ",\"p50\":" << json_number(h.p50) << ",\"p95\":"
-       << json_number(h.p95) << ",\"p99\":" << json_number(h.p99) << '}';
-  }
   os << "},\"sketches\":{";
   for (std::size_t i = 0; i < snap.sketches.size(); ++i) {
     const auto& s = snap.sketches[i];
@@ -588,23 +411,6 @@ std::string Registry::to_csv() const {
   for (const auto& g : snap.family_gauges) {
     csv.row({"gauge", series_key(g.name, g.labels), "value",
              util::CsvWriter::cell(g.value)});
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string key = series_key(h.name, h.labels);
-    csv.row({"histogram", key, "count", util::CsvWriter::cell(
-        static_cast<unsigned long long>(h.count))});
-    csv.row({"histogram", key, "sum", util::CsvWriter::cell(h.sum)});
-    csv.row({"histogram", key, "p50", util::CsvWriter::cell(h.p50)});
-    csv.row({"histogram", key, "p95", util::CsvWriter::cell(h.p95)});
-    csv.row({"histogram", key, "p99", util::CsvWriter::cell(h.p99)});
-    for (std::size_t j = 0; j < h.buckets.size(); ++j) {
-      const std::string field =
-          j < h.bounds.size()
-              ? "le=" + util::CsvWriter::cell(h.bounds[j])
-              : std::string("le=+inf");
-      csv.row({"histogram", key, field, util::CsvWriter::cell(
-          static_cast<unsigned long long>(h.buckets[j]))});
-    }
   }
   for (const auto& s : snap.sketches) {
     const std::string key = series_key(s.name, s.labels);

@@ -1,9 +1,12 @@
-// Metrics registry: named counters, gauges and fixed-bin histograms cheap
-// enough for simulation hot paths.
+// Metrics registry: named counters, gauges and quantile sketches cheap
+// enough for simulation hot paths. Every distribution (waits, batch sizes,
+// `*_ns` timings) is a QuantileSketch: unbounded range, 1% relative error,
+// exact merges.
 //
 // Design constraints (mirroring production VoD servers, e.g. the
 // performance-counter blocks of nginx-vod-module):
-//   * increments are lock-free (relaxed atomics) — safe from any thread;
+//   * counter and gauge updates are lock-free (relaxed atomics) and a
+//     sketch observe takes only that sketch's mutex — safe from any thread;
 //   * instrument handles are stable for the registry's lifetime, so hot
 //     loops resolve a name once and then touch only the atomic;
 //   * snapshots are lazily materialized on demand: nothing is aggregated
@@ -56,74 +59,11 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bin histogram: bucket i counts samples <= bounds[i]; one implicit
-/// overflow bucket counts the rest. Bounds are fixed at construction so
-/// observe() is a branch-light binary search plus one relaxed increment.
-class Histogram {
- public:
-  /// Preconditions: bounds non-empty and strictly increasing.
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double sample) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    return bounds_;
-  }
-  /// Number of buckets including the overflow bucket.
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return bounds_.size() + 1;
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double mean() const noexcept;
-
-  /// Folds `other`'s buckets, count and sum into this histogram.
-  /// Throws std::invalid_argument when the bounds differ — adding buckets
-  /// positionally across different grids would silently mis-fold.
-  void merge_from(const Histogram& other);
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Exponential bucket bounds for nanosecond timings: 1us .. ~1s.
-[[nodiscard]] std::vector<double> default_time_bounds_ns();
-/// Bucket bounds for tune-in waits in minutes: 0.01 .. ~30 min.
-[[nodiscard]] std::vector<double> default_latency_bounds_min();
-
 /// Point-in-time copy of every instrument, detached from the registry.
 struct Snapshot {
   /// (key, value) pairs in the family's key order; empty for unlabeled
   /// instruments.
   using Labels = std::vector<std::pair<std::string, std::string>>;
-
-  struct HistogramView {
-    std::string name;
-    std::vector<double> bounds;            ///< upper bounds per bucket
-    std::vector<std::uint64_t> buckets;    ///< bounds.size() + 1 entries
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double p50 = 0.0;                      ///< interpolated; see quantile()
-    double p95 = 0.0;
-    double p99 = 0.0;
-    Labels labels;
-
-    /// Interpolated quantile estimate (Prometheus histogram_quantile
-    /// semantics): linear within the bucket that crosses rank q*count; the
-    /// first bucket's lower edge is min(0, bound); samples in the overflow
-    /// bucket clamp to the last finite bound. q in [0, 1]; 0 when empty.
-    [[nodiscard]] double quantile(double q) const;
-  };
 
   struct SketchView {
     std::string name;
@@ -161,9 +101,6 @@ struct Snapshot {
 
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  /// Unlabeled histograms first, then family series in (name, label-tuple)
-  /// order.
-  std::vector<HistogramView> histograms;
   /// Unlabeled sketches first, then family series in (name, label-tuple)
   /// order.
   std::vector<SketchView> sketches;
@@ -187,15 +124,12 @@ class Registry {
   /// would emit duplicate series in exposition).
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
-  /// `bounds` is used only on first creation; later calls with the same
-  /// name return the existing histogram unchanged.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<double> bounds);
-  /// `options` is used only on first creation, like histogram bounds.
+  /// `options` is used only on first creation; later calls with the same
+  /// name return the existing sketch unchanged.
   [[nodiscard]] QuantileSketch& sketch(const std::string& name,
                                        QuantileSketch::Options options = {});
 
-  /// Labeled families. `label_keys` / `max_series` (and bounds / options)
+  /// Labeled families. `label_keys` / `max_series` (and sketch options)
   /// are used only on first creation; the cardinality-cap overflow of every
   /// family increments the registry's "obs.labels_dropped" counter.
   [[nodiscard]] Family<Counter>& counter_family(
@@ -203,10 +137,6 @@ class Registry {
       std::size_t max_series = kDefaultMaxSeries);
   [[nodiscard]] Family<Gauge>& gauge_family(
       const std::string& name, std::vector<std::string> label_keys,
-      std::size_t max_series = kDefaultMaxSeries);
-  [[nodiscard]] Family<Histogram>& histogram_family(
-      const std::string& name, std::vector<std::string> label_keys,
-      std::vector<double> bounds,
       std::size_t max_series = kDefaultMaxSeries);
   [[nodiscard]] Family<QuantileSketch>& sketch_family(
       const std::string& name, std::vector<std::string> label_keys,
@@ -219,22 +149,22 @@ class Registry {
   /// runs where each worker records into a private sink and the results are
   /// combined after the join. Semantics per kind: counters add; gauges take
   /// the maximum (every current gauge is a peak: peak rate, deepest queue);
-  /// histograms add bucket-wise; sketches add log-bucket-wise; families
-  /// fold label-wise (per-series, by the same kind rules, subject to this
-  /// registry's cardinality cap). Instruments new here are adopted with
-  /// `other`'s shape. A histogram-bounds or sketch-accuracy mismatch throws
-  /// std::invalid_argument naming the instrument. Merging in a fixed shard
+  /// sketches add log-bucket-wise; families fold label-wise (per-series, by
+  /// the same kind rules, subject to this registry's cardinality cap).
+  /// Instruments new here are adopted with `other`'s shape. A
+  /// sketch-accuracy mismatch throws std::invalid_argument naming the
+  /// instrument. Merging in a fixed shard
   /// order yields identical registries at any thread count.
   void merge_from(const Registry& other);
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "sketches":{...}}. Family series flatten into their section under
-  /// 'name{key=value,...}' keys.
+  /// One JSON object: {"counters":{...},"gauges":{...},"sketches":{...}}.
+  /// Family series flatten into their section under 'name{key=value,...}'
+  /// keys.
   [[nodiscard]] std::string to_json() const;
-  /// Flat CSV: kind,name,field,value — one row per scalar / bucket.
+  /// Flat CSV: kind,name,field,value — one row per scalar.
   [[nodiscard]] std::string to_csv() const;
   /// OpenMetrics text exposition (# TYPE/# HELP/# EOF, escaped labels,
-  /// _bucket/_sum/_count histogram series, summary quantiles for sketches).
+  /// sketches as summaries: quantiles plus _sum/_count).
   /// Dotted names are sanitized to underscore form; # HELP preserves the
   /// original dotted name. Lintable by tools/metrics_check.
   [[nodiscard]] std::string to_openmetrics() const;
@@ -243,11 +173,9 @@ class Registry {
   enum class Kind : std::uint8_t {
     kCounter,
     kGauge,
-    kHistogram,
     kSketch,
     kCounterFamily,
     kGaugeFamily,
-    kHistogramFamily,
     kSketchFamily,
   };
   /// Binds `name` to `kind`; throws std::invalid_argument on a kind clash.
@@ -260,12 +188,9 @@ class Registry {
   std::map<std::string, Kind> kinds_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<QuantileSketch>> sketches_;
   std::map<std::string, std::unique_ptr<Family<Counter>>> counter_families_;
   std::map<std::string, std::unique_ptr<Family<Gauge>>> gauge_families_;
-  std::map<std::string, std::unique_ptr<Family<Histogram>>>
-      histogram_families_;
   std::map<std::string, std::unique_ptr<Family<QuantileSketch>>>
       sketch_families_;
 };

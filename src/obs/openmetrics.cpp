@@ -8,11 +8,9 @@
 //     readers can map back to docs/OBSERVABILITY.md;
 //   * counters expose one `<name>_total` sample under `# TYPE <name>
 //     counter`;
-//   * histograms expose cumulative `_bucket{le="..."}` series ending in
-//     le="+Inf", plus `_sum` and `_count`;
 //   * sketches expose as summaries: `{quantile="..."}` samples plus `_sum`
 //     and `_count` — quantiles come from the sketch, so they carry its
-//     relative-error guarantee instead of a histogram grid's clamping;
+//     relative-error guarantee, with no bucket grid to clamp them;
 //   * label values escape backslash, double quote and newline;
 //   * the dump ends with `# EOF`.
 #include <cstdio>
@@ -69,7 +67,7 @@ std::string format_value(double v) {
   return buf;
 }
 
-/// Renders `{k="v",...}` including one optional extra label (le / quantile)
+/// Renders `{k="v",...}` including one optional extra label (quantile)
 /// appended after the family labels. Returns "" when there are none.
 std::string label_block(const Snapshot::Labels& labels,
                         const std::string& extra_key = {},
@@ -137,21 +135,6 @@ std::string Registry::to_openmetrics() const {
     const std::string om = sanitize_name(g.name);
     header(os, last_name, om, g.name, "gauge", "last-written scalar, labeled");
     os << om << label_block(g.labels) << ' ' << format_value(g.value) << '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string om = sanitize_name(h.name);
-    header(os, last_name, om, h.name, "histogram", "fixed-bin histogram");
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      cum += h.buckets[i];
-      const std::string le =
-          i < h.bounds.size() ? format_value(h.bounds[i]) : "+Inf";
-      os << om << "_bucket" << label_block(h.labels, "le", le) << ' ' << cum
-         << '\n';
-    }
-    os << om << "_sum" << label_block(h.labels) << ' ' << format_value(h.sum)
-       << '\n';
-    os << om << "_count" << label_block(h.labels) << ' ' << h.count << '\n';
   }
   for (const auto& s : snap.sketches) {
     const std::string om = sanitize_name(s.name);

@@ -1,21 +1,23 @@
 // RAII profiling hooks. A ScopedTimer reads the steady clock only when a
-// histogram is attached; with a null target the constructor and destructor
+// sketch is attached; with a null target the constructor and destructor
 // collapse to a pointer test, keeping release hot loops unperturbed.
 #pragma once
 
 #include <chrono>
 
-#include "obs/metrics.hpp"
+#include "obs/quantile_sketch.hpp"
 
 namespace vodbcast::obs {
 
-/// Records the scope's wall time, in nanoseconds, into a Histogram.
+/// Records the scope's wall time, in nanoseconds, into a QuantileSketch,
+/// whose unbounded range keeps a multi-second run and a sub-microsecond
+/// lookup each within the sketch's relative accuracy.
 ///
-///   obs::ScopedTimer timer(sink ? &sink->metrics.histogram(
-///       "sim.simulate_ns", obs::default_time_bounds_ns()) : nullptr);
+///   obs::ScopedTimer timer(
+///       sink ? &sink->metrics.sketch("sim.simulate_ns") : nullptr);
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram* target) noexcept : target_(target) {
+  explicit ScopedTimer(QuantileSketch* target) noexcept : target_(target) {
     if (target_ != nullptr) {
       start_ = std::chrono::steady_clock::now();
     }
@@ -34,7 +36,7 @@ class ScopedTimer {
   }
 
  private:
-  Histogram* target_;
+  QuantileSketch* target_;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -150,8 +150,7 @@ void EventQueue::attach_sink(obs::Sink* sink) {
   capture_spill_ = &sink->metrics.counter("sim.event_queue.capture_spill");
   pending_peak_ = &sink->metrics.gauge("sim.event_queue.pending_peak");
   slab_slots_ = &sink->metrics.gauge("sim.event_queue.slab_slots");
-  callback_ns_ = &sink->metrics.histogram("sim.event_queue.callback_ns",
-                                          obs::default_time_bounds_ns());
+  callback_ns_ = &sink->metrics.sketch("sim.event_queue.callback_ns");
   slab_slots_->max_of(static_cast<double>(pool_.size()));
 }
 

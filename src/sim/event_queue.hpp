@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "util/contracts.hpp"
 
@@ -177,7 +178,7 @@ class EventQueue {
   }
 
   /// Attaches an observability sink: schedule/fire counters, a queue-depth
-  /// peak gauge, a per-callback cost histogram, the slab high-water gauge
+  /// peak gauge, a per-callback cost sketch, the slab high-water gauge
   /// and the SBO-spill counter, all under "sim.event_queue.*". Merged
   /// arrivals count as scheduled and fired events and are timed, but the
   /// two occupancy gauges cover queued events only. Null
@@ -289,7 +290,7 @@ class EventQueue {
   obs::Counter* capture_spill_ = nullptr;
   obs::Gauge* pending_peak_ = nullptr;
   obs::Gauge* slab_slots_ = nullptr;
-  obs::Histogram* callback_ns_ = nullptr;
+  obs::QuantileSketch* callback_ns_ = nullptr;
 };
 
 }  // namespace vodbcast::sim

@@ -231,10 +231,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
 
   obs::Sink* sink = config.sink;
   obs::ScopedTimer run_timer(
-      sink != nullptr
-          ? &sink->metrics.histogram("sim.simulate_ns",
-                                     obs::default_time_bounds_ns())
-          : nullptr);
+      sink != nullptr ? &sink->metrics.sketch("sim.simulate_ns") : nullptr);
 
   BroadcastServer server(scheme.plan(input, *design));
 
@@ -310,7 +307,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   // Time-series probes read simulation locals; the ProbeScope unregisters
   // them before those locals die. last_buffer_peak_units tracks the most
   // recent planned client's peak occupancy — a utilization-style series the
-  // aggregate histogram cannot show.
+  // aggregate distribution cannot show.
   double last_buffer_peak_units = 0.0;
   obs::ProbeScope probes(config.sampler);
   probes.add("sim.clients_served", [&report] {
@@ -327,8 +324,8 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   // Instrument handles resolved once, outside the per-client loop.
   obs::Counter* clients_counter = nullptr;
   obs::Counter* jitter_counter = nullptr;
-  obs::Histogram* plan_ns = nullptr;
-  obs::Histogram* plan_cache_hit_ns = nullptr;
+  obs::QuantileSketch* plan_ns = nullptr;
+  obs::QuantileSketch* plan_cache_hit_ns = nullptr;
   obs::QuantileSketch* wait_sketch = nullptr;
   // Per-title wait sketches, indexed by video id. The family is sized to
   // the catalog so no title folds into overflow; handles resolve here,
@@ -349,13 +346,11 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       title_wait[v] = &wait_family.with_ids({v});
     }
     if (layout.has_value()) {
-      plan_ns = &sink->metrics.histogram("client.plan_reception_ns",
-                                         obs::default_time_bounds_ns());
+      plan_ns = &sink->metrics.sketch("client.plan_reception_ns");
       if (cache.has_value()) {
         // The A/B partner of plan_reception_ns: lookups that served a
         // cached canonical plan land here instead.
-        plan_cache_hit_ns = &sink->metrics.histogram(
-            "client.plan_cache_hit_ns", obs::default_time_bounds_ns());
+        plan_cache_hit_ns = &sink->metrics.sketch("client.plan_cache_hit_ns");
       }
     }
   }
@@ -442,7 +437,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       client::PlanView plan;
       if (cache.has_value()) {
         // A cheap contains() probe picks the timer before the clock starts,
-        // so hit and miss latencies land in separate histograms.
+        // so hit and miss latencies land in separate sketches.
         const bool cached = cache->contains(t0);
         const obs::ScopedTimer plan_timer(cached ? plan_cache_hit_ns
                                                  : plan_ns);

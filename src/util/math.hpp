@@ -48,10 +48,9 @@ namespace vodbcast::util {
 
 /// Quantile by linear interpolation between order statistics: the value at
 /// fractional rank q * (n - 1) of the *sorted* input. This is the one
-/// quantile definition used everywhere results are reported —
-/// `sim::Distribution`, the bench harness timing stats, and (bucket-wise,
-/// the closest a histogram can get) obs histogram snapshots — so the same
-/// data never prints two different percentiles.
+/// quantile definition used everywhere exact samples are reported —
+/// `sim::Distribution` (until it folds into a sketch) and the bench harness
+/// timing stats — so the same data never prints two different percentiles.
 /// Preconditions: `sorted` non-empty and ascending; q in [0, 1].
 [[nodiscard]] double interpolated_quantile(const std::vector<double>& sorted,
                                            double q);

@@ -448,9 +448,9 @@ TEST(AdaptiveSimTest, ReplicatedBitIdenticalSerialVsParallel) {
   EXPECT_EQ(serial.replication_mean_wait.samples(),
             pooled.replication_mean_wait.samples());
 
-  // Folded observability is part of the contract too; the *_ns timing
-  // histograms are excluded — they measure host wall time, which no
-  // schedule can make reproducible.
+  // Folded observability is part of the contract too: counters, gauges
+  // and the trace. (The *_ns timing sketches measure host wall time, which
+  // no schedule can make reproducible.)
   const auto ms = serial_sink.metrics.snapshot();
   const auto mp = pooled_sink.metrics.snapshot();
   EXPECT_EQ(ms.counters, mp.counters);

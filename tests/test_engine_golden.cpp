@@ -4,7 +4,7 @@
 // report fields, metrics registry, trace ring and span ring into a
 // canonical text, hashed with FNV-1a. Doubles enter as hex floats, so a
 // digest matches only when every bit matches. Excluded, because they are
-// not functions of the seed: wall-clock timings (every `*_ns` histogram)
+// not functions of the seed: wall-clock timings (every `*_ns` sketch)
 // and the event-queue occupancy gauges `sim.event_queue.pending_peak` and
 // `sim.event_queue.slab_slots`, which describe how the engine stores its
 // pending work rather than what it computes.
@@ -118,17 +118,6 @@ class Canon {
     for (const auto& [name, value] : snap.gauges) {
       if (!excluded(name)) {
         field("gauge." + name, value);
-      }
-    }
-    for (const auto& h : snap.histograms) {
-      if (excluded(h.name)) {
-        continue;
-      }
-      const auto key = "histogram." + h.name + labels(h.labels);
-      field(key + ".count", h.count);
-      field(key + ".sum", h.sum);
-      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-        field(key + ".bucket" + std::to_string(i), h.buckets[i]);
       }
     }
     for (const auto& s : snap.sketches) {

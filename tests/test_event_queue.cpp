@@ -469,9 +469,9 @@ TEST(EventQueueArrivalMergeTest, SinkCountsArrivalsButNotAsOccupancy) {
   EXPECT_DOUBLE_EQ(gauge("sim.event_queue.pending_peak"), 1.0);
   EXPECT_DOUBLE_EQ(gauge("sim.event_queue.slab_slots"), 1.0);
   std::uint64_t timed = 0;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "sim.event_queue.callback_ns") {
-      timed = h.count;
+  for (const auto& s : snap.sketches) {
+    if (s.name == "sim.event_queue.callback_ns") {
+      timed = s.count;
     }
   }
   EXPECT_EQ(timed, 5U);

@@ -88,17 +88,17 @@ TEST(FamilyTest, MergeFoldsLabelWiseIncludingOverflow) {
 TEST(FamilyTest, MergeAdoptsUnknownFamiliesWithSourceShape) {
   Registry a;
   Registry b;
-  auto& fb = b.histogram_family("h", {"title"}, {1.0, 2.0});
+  auto& fb = b.sketch_family("h", {"title"}, {.relative_accuracy = 0.05});
   fb.with({"5"}).observe(0.5);
   a.merge_from(b);
   const auto snap = a.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1U);
-  EXPECT_EQ(snap.histograms[0].name, "h");
-  ASSERT_EQ(snap.histograms[0].labels.size(), 1U);
-  EXPECT_EQ(snap.histograms[0].labels[0],
+  ASSERT_EQ(snap.sketches.size(), 1U);
+  EXPECT_EQ(snap.sketches[0].name, "h");
+  ASSERT_EQ(snap.sketches[0].labels.size(), 1U);
+  EXPECT_EQ(snap.sketches[0].labels[0],
             (std::pair<std::string, std::string>{"title", "5"}));
-  EXPECT_EQ(snap.histograms[0].count, 1U);
-  EXPECT_EQ(snap.histograms[0].bounds, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(snap.sketches[0].count, 1U);
+  EXPECT_DOUBLE_EQ(snap.sketches[0].relative_accuracy, 0.05);
 }
 
 TEST(FamilyTest, MergeRejectsMismatchedKeySchema) {

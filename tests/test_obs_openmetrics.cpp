@@ -40,28 +40,14 @@ TEST(OpenMetricsTest, LabelValuesAreEscaped) {
               HasSubstr("m_total{k=\"a\\\"b\\\\c\\nd\"} 1\n"));
 }
 
-TEST(OpenMetricsTest, HistogramBucketsAreCumulativeAndEndInInf) {
+TEST(OpenMetricsTest, LabeledSketchPutsQuantileAfterFamilyLabels) {
   Registry reg;
-  auto& h = reg.histogram("wait", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(99.0);
+  reg.sketch_family("w", {"title"}).with({"7"}).observe(0.5);
   const std::string out = reg.to_openmetrics();
-  EXPECT_THAT(out, HasSubstr("# TYPE wait histogram\n"));
-  EXPECT_THAT(out, HasSubstr("wait_bucket{le=\"1\"} 1\n"));
-  EXPECT_THAT(out, HasSubstr("wait_bucket{le=\"2\"} 2\n"));
-  EXPECT_THAT(out, HasSubstr("wait_bucket{le=\"+Inf\"} 3\n"));
-  EXPECT_THAT(out, HasSubstr("wait_count 3\n"));
-  EXPECT_THAT(out, HasSubstr("wait_sum 101\n"));
-}
-
-TEST(OpenMetricsTest, LabeledHistogramPutsLeAfterFamilyLabels) {
-  Registry reg;
-  reg.histogram_family("w", {"title"}, {1.0}).with({"7"}).observe(0.5);
-  const std::string out = reg.to_openmetrics();
-  EXPECT_THAT(out, HasSubstr("w_bucket{title=\"7\",le=\"1\"} 1\n"));
-  EXPECT_THAT(out, HasSubstr("w_bucket{title=\"7\",le=\"+Inf\"} 1\n"));
+  EXPECT_THAT(out, HasSubstr("w{title=\"7\",quantile=\"0.5\"} 0.5\n"));
+  EXPECT_THAT(out, HasSubstr("w{title=\"7\",quantile=\"0.999\"} 0.5\n"));
   EXPECT_THAT(out, HasSubstr("w_count{title=\"7\"} 1\n"));
+  EXPECT_THAT(out, testing::Not(HasSubstr("_bucket")));
 }
 
 TEST(OpenMetricsTest, SketchRendersAsSummaryWithQuantiles) {
@@ -92,50 +78,6 @@ TEST(OpenMetricsTest, FamilySeriesShareOneTypeHeader) {
     ++pos;
   }
   EXPECT_EQ(count, 1U);
-}
-
-TEST(HistogramViewQuantileTest, EmptyHistogramReturnsZero) {
-  Registry reg;
-  (void)reg.histogram("h", {1.0, 2.0});
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1U);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(1.0), 0.0);
-}
-
-TEST(HistogramViewQuantileTest, SingleSampleInterpolatesWithinItsBucket) {
-  Registry reg;
-  reg.histogram("h", {1.0, 2.0}).observe(1.5);
-  const auto view = reg.snapshot().histograms[0];
-  // All mass sits in (1, 2]; estimates stay inside that bucket.
-  for (const double q : {0.0, 0.5, 1.0}) {
-    const double est = view.quantile(q);
-    EXPECT_GE(est, 1.0) << "q=" << q;
-    EXPECT_LE(est, 2.0) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(view.quantile(1.0), 2.0);  // q=1 hits the upper edge
-}
-
-TEST(HistogramViewQuantileTest, ExtremeQsHitBucketEdges) {
-  Registry reg;
-  auto& h = reg.histogram("h", {1.0, 2.0, 3.0});
-  h.observe(0.5);   // bucket (<=1)
-  h.observe(2.5);   // bucket (2, 3]
-  const auto view = reg.snapshot().histograms[0];
-  EXPECT_DOUBLE_EQ(view.quantile(0.0), 0.0);  // lower edge of first bucket
-  EXPECT_DOUBLE_EQ(view.quantile(1.0), 3.0);  // upper edge of last hit
-}
-
-TEST(HistogramViewQuantileTest, AllMassInOverflowClampsToLastBound) {
-  Registry reg;
-  auto& h = reg.histogram("h", {1.0, 2.0});
-  h.observe(50.0);
-  h.observe(99.0);
-  const auto view = reg.snapshot().histograms[0];
-  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(view.quantile(q), 2.0) << "q=" << q;
-  }
 }
 
 TEST(OpenMetricsTest, MergedRegistriesExposeIdentically) {

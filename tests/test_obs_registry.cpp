@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -37,28 +38,6 @@ TEST(GaugeTest, SetAddMax) {
   EXPECT_DOUBLE_EQ(g.value(), 10.0);
 }
 
-TEST(HistogramTest, BucketsSamplesByUpperBound) {
-  Histogram h({1.0, 10.0, 100.0});
-  EXPECT_EQ(h.bucket_count(), 4U);  // 3 bounds + overflow
-  h.observe(0.5);    // <= 1
-  h.observe(1.0);    // <= 1 (bounds are inclusive)
-  h.observe(5.0);    // <= 10
-  h.observe(1000.0); // overflow
-  EXPECT_EQ(h.bucket(0), 2U);
-  EXPECT_EQ(h.bucket(1), 1U);
-  EXPECT_EQ(h.bucket(2), 0U);
-  EXPECT_EQ(h.bucket(3), 1U);
-  EXPECT_EQ(h.count(), 4U);
-  EXPECT_DOUBLE_EQ(h.sum(), 1006.5);
-  EXPECT_DOUBLE_EQ(h.mean(), 1006.5 / 4.0);
-}
-
-TEST(HistogramTest, RejectsBadBounds) {
-  EXPECT_THROW(Histogram({}), util::ContractViolation);
-  EXPECT_THROW(Histogram({2.0, 1.0}), util::ContractViolation);
-  EXPECT_THROW(Histogram({1.0, 1.0}), util::ContractViolation);
-}
-
 TEST(RegistryTest, SameNameReturnsSameInstrument) {
   Registry registry;
   Counter& a = registry.counter("x");
@@ -66,11 +45,11 @@ TEST(RegistryTest, SameNameReturnsSameInstrument) {
   EXPECT_EQ(&a, &b);
   a.add(7);
   EXPECT_EQ(b.value(), 7U);
-  // Histogram bounds are fixed by the first creation.
-  Histogram& h1 = registry.histogram("h", {1.0, 2.0});
-  Histogram& h2 = registry.histogram("h", {9.0});
-  EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.bounds().size(), 2U);
+  // Sketch options are fixed by the first creation.
+  QuantileSketch& s1 = registry.sketch("s", {.relative_accuracy = 0.02});
+  QuantileSketch& s2 = registry.sketch("s", {.relative_accuracy = 0.05});
+  EXPECT_EQ(&s1, &s2);
+  EXPECT_DOUBLE_EQ(s2.relative_accuracy(), 0.02);
 }
 
 TEST(RegistryTest, SnapshotIsIsolatedFromLaterUpdates) {
@@ -110,13 +89,16 @@ TEST(RegistryTest, JsonExportIsStructurallySound) {
   Registry registry;
   registry.counter("sim.clients").add(3);
   registry.gauge("sim.rate").set(2.5);
-  registry.histogram("sim.wait", {1.0, 2.0}).observe(1.5);
+  registry.sketch("sim.wait").observe(1.5);
   const std::string json = registry.to_json();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"sim.clients\":3"), std::string::npos);
   EXPECT_NE(json.find("\"sim.rate\":2.5"), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\":[0,1,0]"), std::string::npos);
+  EXPECT_NE(json.find("\"sim.wait\":{\"relative_accuracy\":0.01,\"count\":1,"
+                      "\"sum\":1.5,\"min\":1.5,\"max\":1.5"),
+            std::string::npos);
+  EXPECT_EQ(json.find("histograms"), std::string::npos);
   // Balanced braces/brackets — cheap structural validity check.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -128,13 +110,13 @@ TEST(RegistryTest, CsvExportListsEveryInstrument) {
   Registry registry;
   registry.counter("a").add(1);
   registry.gauge("b").set(2.0);
-  registry.histogram("c", {5.0}).observe(1.0);
+  registry.sketch("c").observe(1.0);
   const std::string csv = registry.to_csv();
   EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
   EXPECT_NE(csv.find("counter,a,value,1"), std::string::npos);
   EXPECT_NE(csv.find("gauge,b,value,2"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,c,count,1"), std::string::npos);
-  EXPECT_NE(csv.find("le=+inf"), std::string::npos);
+  EXPECT_NE(csv.find("sketch,c,count,1"), std::string::npos);
+  EXPECT_NE(csv.find("sketch,c,p50,1"), std::string::npos);
 }
 
 std::uint64_t counter_value(const Snapshot& snap, const std::string& name) {
@@ -157,38 +139,44 @@ double gauge_value(const Snapshot& snap, const std::string& name) {
   return 0.0;
 }
 
-const Snapshot::HistogramView* find_histogram(const Snapshot& snap,
-                                              const std::string& name) {
-  for (const auto& h : snap.histograms) {
-    if (h.name == name) {
-      return &h;
+const Snapshot::SketchView* find_sketch(const Snapshot& snap,
+                                       const std::string& name) {
+  for (const auto& s : snap.sketches) {
+    if (s.name == name) {
+      return &s;
     }
   }
   return nullptr;
 }
 
-TEST(RegistryMergeTest, CountersAddGaugesMaxHistogramsBucketAdd) {
+TEST(RegistryMergeTest, CountersAddGaugesMaxSketchesBucketAdd) {
   Registry a;
   a.counter("served").add(10);
   a.gauge("peak").max_of(3.0);
-  a.histogram("wait", {1.0, 10.0}).observe(0.5);
+  a.sketch("wait").observe(0.5);
 
   Registry b;
   b.counter("served").add(5);
   b.gauge("peak").max_of(7.0);
-  b.histogram("wait", {1.0, 10.0}).observe(5.0);
-  b.histogram("wait", {1.0, 10.0}).observe(0.25);
+  b.sketch("wait").observe(5.0);
+  b.sketch("wait").observe(0.25);
 
   a.merge_from(b);
   const auto snap = a.snapshot();
   EXPECT_EQ(counter_value(snap, "served"), 15U);
   EXPECT_DOUBLE_EQ(gauge_value(snap, "peak"), 7.0);
-  const auto* wait = find_histogram(snap, "wait");
+  const auto* wait = find_sketch(snap, "wait");
   ASSERT_NE(wait, nullptr);
   EXPECT_EQ(wait->count, 3U);
   EXPECT_DOUBLE_EQ(wait->sum, 5.75);
-  EXPECT_EQ(wait->buckets[0], 2U);  // 0.5 and 0.25 in the <= 1.0 bucket
-  EXPECT_EQ(wait->buckets[1], 1U);  // 5.0 in the <= 10.0 bucket
+  EXPECT_DOUBLE_EQ(wait->min, 0.25);
+  EXPECT_DOUBLE_EQ(wait->max, 5.0);
+  // The same buckets as one sketch that saw all three samples.
+  QuantileSketch whole;
+  for (const double v : {0.5, 5.0, 0.25}) {
+    whole.observe(v);
+  }
+  EXPECT_EQ(wait->buckets, whole.buckets());
   // The source is untouched.
   EXPECT_EQ(counter_value(b.snapshot(), "served"), 5U);
 }
@@ -198,31 +186,15 @@ TEST(RegistryMergeTest, AdoptsInstrumentsMissingFromTarget) {
   Registry b;
   b.counter("only_in_b").add(3);
   b.gauge("g").set(2.5);
-  b.histogram("h", {1.0}).observe(0.5);
+  b.sketch("s", {.relative_accuracy = 0.05}).observe(0.5);
   a.merge_from(b);
   const auto snap = a.snapshot();
   EXPECT_EQ(counter_value(snap, "only_in_b"), 3U);
   EXPECT_DOUBLE_EQ(gauge_value(snap, "g"), 2.5);
-  const auto* h = find_histogram(snap, "h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1U);
-}
-
-TEST(RegistryMergeTest, RejectsMismatchedHistogramBounds) {
-  Registry a;
-  a.histogram("h", {1.0, 2.0}).observe(0.5);
-  Registry b;
-  b.histogram("h", {1.0, 3.0}).observe(0.5);
-  // Caller-facing validation, not a programming-contract check: the message
-  // names the metric and the reason.
-  try {
-    a.merge_from(b);
-    FAIL() << "mismatched bounds must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_THAT(e.what(), testing::HasSubstr("metric 'h'"));
-    EXPECT_THAT(e.what(), testing::HasSubstr("bucket bounds mismatch"));
-  }
-  EXPECT_THROW(a.merge_from(a), util::ContractViolation);  // self-merge
+  const auto* s = find_sketch(snap, "s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->count, 1U);
+  EXPECT_DOUBLE_EQ(s->relative_accuracy, 0.05);  // adopted with b's shape
 }
 
 TEST(RegistryMergeTest, RejectsMismatchedSketchAccuracy) {
@@ -230,6 +202,8 @@ TEST(RegistryMergeTest, RejectsMismatchedSketchAccuracy) {
   a.sketch("s", {.relative_accuracy = 0.01}).observe(1.0);
   Registry b;
   b.sketch("s", {.relative_accuracy = 0.05}).observe(1.0);
+  // Caller-facing validation, not a programming-contract check: the message
+  // names the metric and the reason.
   try {
     a.merge_from(b);
     FAIL() << "mismatched accuracy must throw";
@@ -237,6 +211,7 @@ TEST(RegistryMergeTest, RejectsMismatchedSketchAccuracy) {
     EXPECT_THAT(e.what(), testing::HasSubstr("metric 's'"));
     EXPECT_THAT(e.what(), testing::HasSubstr("relative accuracy mismatch"));
   }
+  EXPECT_THROW(a.merge_from(a), util::ContractViolation);  // self-merge
 }
 
 TEST(RegistryMergeTest, RejectsKindClashAcrossRegistries) {
@@ -291,12 +266,38 @@ TEST(TracerMergeTest, ReRecordsRetainedEventsInTimeOrder) {
 
 TEST(ScopedTimerTest, RecordsOnceIntoTarget) {
   Registry registry;
-  Histogram& h = registry.histogram("t", default_time_bounds_ns());
+  QuantileSketch& t = registry.sketch("t_ns");
   {
-    const ScopedTimer timer(&h);
+    const ScopedTimer timer(&t);
   }
-  EXPECT_EQ(h.count(), 1U);
-  EXPECT_GE(h.sum(), 0.0);
+  EXPECT_EQ(t.count(), 1U);
+  EXPECT_GE(t.sum(), 0.0);
+}
+
+// Timings land in the same sketch kind ScopedTimer records into, so a
+// multi-second run and a sub-microsecond lookup both read back within the
+// sketch's 1%: no overflow bucket clamps the first, no interpolation
+// across a 1 us bucket inflates the second.
+TEST(ScopedTimerTest, LongAndShortTimingsReadBackWithinOnePercent) {
+  static_assert(std::is_constructible_v<ScopedTimer, QuantileSketch*>);
+  Registry registry;
+  registry.sketch("sim.simulate_ns").observe(5e9);
+  auto& hits = registry.sketch("client.plan_cache_hit_ns");
+  for (int i = 0; i < 1000; ++i) {
+    hits.observe(300.0);
+  }
+  const auto snap = registry.snapshot();
+  const auto* run = find_sketch(snap, "sim.simulate_ns");
+  const auto* hit = find_sketch(snap, "client.plan_cache_hit_ns");
+  ASSERT_NE(run, nullptr);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_NEAR(run->p50, 5e9, 5e9 * 0.01);
+  EXPECT_NEAR(run->p999, 5e9, 5e9 * 0.01);
+  EXPECT_NEAR(hit->p50, 300.0, 300.0 * 0.01);
+  EXPECT_NEAR(hit->p99, 300.0, 300.0 * 0.01);
+  EXPECT_THAT(
+      registry.to_openmetrics(),
+      testing::HasSubstr("sim_simulate_ns{quantile=\"0.5\"} 5000000000\n"));
 }
 
 TEST(ScopedTimerTest, NullTargetIsANoOp) {

@@ -196,6 +196,39 @@ double gauge_value(const obs::Sink& sink, const std::string& name) {
   return -1.0;
 }
 
+/// Sample count of one unlabeled sketch in `sink`'s registry; 0 if absent.
+std::uint64_t sketch_count(const obs::Sink& sink, const std::string& name) {
+  for (const auto& view : sink.metrics.snapshot().sketches) {
+    if (view.name == name && view.labels.empty()) {
+      return view.count;
+    }
+  }
+  return 0;
+}
+
+// Every timed call leaves exactly one sample in its timing sketch: one run,
+// and one reception plan per client, served from the cache or planned.
+TEST(SimulatorTest, OneTimingSamplePerTimedCall) {
+  const schemes::SkyscraperScheme sb(52);
+  const auto input = paper_input(300.0);
+  for (const bool plan_cache : {true, false}) {
+    obs::Sink sink;
+    SimulationConfig config;
+    config.horizon = core::Minutes{120.0};
+    config.arrivals_per_minute = 4.0;
+    config.plan_clients = true;
+    config.plan_cache = plan_cache;
+    config.sink = &sink;
+    const auto report = simulate(sb, input, config);
+    ASSERT_GT(report.clients_served, 0U);
+    EXPECT_EQ(sketch_count(sink, "sim.simulate_ns"), 1U);
+    EXPECT_EQ(sketch_count(sink, "client.plan_cache_hit_ns") +
+                  sketch_count(sink, "client.plan_reception_ns"),
+              report.clients_served)
+        << "plan_cache=" << plan_cache;
+  }
+}
+
 // Arrivals stream through the event engine's arrival merge instead of
 // waiting in its heap, so queue occupancy does not grow with the horizon.
 TEST(SimulatorTest, PendingPeakFlatWhenHorizonDoubles) {
