@@ -25,6 +25,13 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
         ") exceeds catalog_size (" + std::to_string(config.catalog_size) +
         "); the hot set must be a subset of the catalog");
   }
+  // The tail simulation refuses a bad horizon too, but it does not run
+  // when the whole catalog is hot.
+  if (!(config.horizon.v > 0.0)) {
+    throw std::invalid_argument(
+        "evaluate_hybrid: horizon must be positive, got " +
+        std::to_string(config.horizon.v) + " min");
+  }
 
   const double b = config.video.display_rate.v;
   const double broadcast_bw = b * config.broadcast_channels_per_video *

@@ -54,8 +54,9 @@ struct HybridReport {
 
 /// Runs the hybrid allocation end to end.
 /// Throws std::invalid_argument (naming the violated bound) when
-/// hot_titles > catalog_size or when the broadcast side does not leave at
-/// least one whole channel of bandwidth for the scheduled-multicast tail.
+/// hot_titles > catalog_size, when the horizon is not positive (or NaN), or
+/// when the broadcast side does not leave at least one whole channel of
+/// bandwidth for the scheduled-multicast tail.
 [[nodiscard]] HybridReport evaluate_hybrid(const BatchingPolicy& policy,
                                            const HybridConfig& config);
 

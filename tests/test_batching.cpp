@@ -147,6 +147,10 @@ TEST(ScheduledMulticastTest, RejectsNonPositiveHorizon) {
     EXPECT_THROW((void)evaluate_hybrid(MqlPolicy(), hybrid),
                  std::invalid_argument)
         << "horizon " << horizon;
+    hybrid.hot_titles = hybrid.catalog_size;  // no tail to simulate
+    EXPECT_THROW((void)evaluate_hybrid(MqlPolicy(), hybrid),
+                 std::invalid_argument)
+        << "horizon " << horizon << ", whole catalog hot";
   }
 }
 
