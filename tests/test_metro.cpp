@@ -206,6 +206,47 @@ TEST(RouterTest, TailBatchesAndSpillsWhenSaturated) {
   EXPECT_DOUBLE_EQ(queued.queue_wait_min, 29.0);  // slot frees at 31
 }
 
+TEST(RouterTest, SpillOrderOnASixRegionRingBreaksCostTiesByIndex) {
+  // Home 0, subscriber at 4 on a 6-region ring. Spill cost is
+  // hops(0, s) + hops(s, 4): s = 4 and 5 cost 2, s = 1, 2, 3 cost 4, so
+  // the cheapest-free order is 4, 5, 1, 2, 3 — neither index order nor
+  // either single leg's hop order.
+  const Topology topo(std::vector<RegionSpec>(6, {10.0, 20}), 8,
+                      core::Minutes{0.5});
+  const PlacementSolver solver(30, workload::kPaperSkew);
+  const auto placement = solver.solve(topo, 0);  // everything is tail
+  RouterConfig rc;
+  rc.video = core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
+  rc.patience = core::Minutes{40.0};
+  rc.spill_wait = core::Minutes{2.0};
+  Router router(topo, placement, std::vector<int>(6, 1), rc);
+
+  // The greedy placement homes the top title at region 0. Its stream
+  // saturates home 0's only slot until minute 30, and a later request
+  // cannot join a stream that has already started.
+  const core::VideoId title = 0;
+  ASSERT_EQ(placement.home[title], 0);
+  EXPECT_EQ(router.route({core::Minutes{0.0}, title, 0}).kind,
+            RouteKind::kLocal);
+
+  // Each spill takes its substitute's only slot, so successive requests
+  // walk the whole preference list.
+  const std::vector<std::uint32_t> expected_order = {4, 5, 1, 2, 3};
+  const std::vector<double> expected_transit = {1.0, 1.0, 2.0, 2.0, 2.0};
+  for (std::size_t i = 0; i < expected_order.size(); ++i) {
+    const auto d = router.route({core::Minutes{1.0}, title, 4});
+    EXPECT_EQ(d.kind, RouteKind::kRerouted) << "spill " << i;
+    EXPECT_EQ(d.served_by, expected_order[i]) << "spill " << i;
+    EXPECT_DOUBLE_EQ(d.transit_min, expected_transit[i]) << "spill " << i;
+  }
+  // Every substitute is busy: the request queues at home until its slot
+  // frees at minute 30.
+  const auto queued = router.route({core::Minutes{1.0}, title, 4});
+  EXPECT_EQ(queued.kind, RouteKind::kLocal);
+  EXPECT_EQ(queued.served_by, 0U);
+  EXPECT_DOUBLE_EQ(queued.queue_wait_min, 29.0);
+}
+
 TEST(RouterTest, TailRenegesBeyondPatience) {
   const Topology topo({{10.0, 20}, {10.0, 20}}, 8, core::Minutes{0.5});
   const PlacementSolver solver(10, workload::kPaperSkew);
