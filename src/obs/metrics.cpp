@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -87,19 +86,19 @@ Snapshot::SketchView make_sketch_view(const std::string& name,
   Snapshot::SketchView view;
   view.name = name;
   view.labels = std::move(labels);
-  view.relative_accuracy = s.relative_accuracy();
-  view.gamma = s.gamma();
-  view.zero_count = s.zero_count();
-  view.buckets = s.buckets();
-  view.count = s.count();
-  view.sum = s.sum();
-  view.min = s.min();
-  view.max = s.max();
-  view.collapsed = s.collapsed();
-  view.p50 = view.quantile(0.50);
-  view.p95 = view.quantile(0.95);
-  view.p99 = view.quantile(0.99);
-  view.p999 = view.quantile(0.999);
+  view.sketch = s.core();
+  const SketchCore& core = view.sketch;
+  view.relative_accuracy = core.relative_accuracy();
+  view.zero_count = core.zero_count();
+  view.count = core.count();
+  view.sum = core.sum();
+  view.min = core.min();
+  view.max = core.max();
+  view.collapsed = core.collapsed();
+  view.p50 = core.quantile(0.50);
+  view.p95 = core.quantile(0.95);
+  view.p99 = core.quantile(0.99);
+  view.p999 = core.quantile(0.999);
   return view;
 }
 
@@ -122,27 +121,6 @@ void Gauge::add(double delta) noexcept {
 
 void Gauge::max_of(double v) noexcept {
   update_double(value_, [v](double cur) { return std::max(cur, v); });
-}
-
-double Snapshot::SketchView::quantile(double q) const {
-  VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (count == 0) {
-    return 0.0;
-  }
-  const auto rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
-  if (rank < zero_count) {
-    return 0.0;
-  }
-  std::uint64_t cum = zero_count;
-  for (const auto& [index, n] : buckets) {
-    cum += n;
-    if (cum > rank) {
-      return std::clamp(2.0 * std::pow(gamma, index) / (gamma + 1.0), min,
-                        max);
-    }
-  }
-  return max;
 }
 
 void Registry::claim(const std::string& name, Kind kind) {
@@ -384,10 +362,11 @@ std::string Registry::to_json() const {
        << ",\"count\":" << s.count << ",\"sum\":" << json_number(s.sum)
        << ",\"min\":" << json_number(s.min) << ",\"max\":"
        << json_number(s.max) << ",\"zero_count\":" << s.zero_count
-       << ",\"tracked_buckets\":" << s.buckets.size() << ",\"collapsed\":"
-       << s.collapsed << ",\"p50\":" << json_number(s.p50) << ",\"p95\":"
-       << json_number(s.p95) << ",\"p99\":" << json_number(s.p99)
-       << ",\"p999\":" << json_number(s.p999) << '}';
+       << ",\"tracked_buckets\":" << s.sketch.bucket_count()
+       << ",\"collapsed\":" << s.collapsed << ",\"p50\":"
+       << json_number(s.p50) << ",\"p95\":" << json_number(s.p95)
+       << ",\"p99\":" << json_number(s.p99) << ",\"p999\":"
+       << json_number(s.p999) << '}';
   }
   os << "}}";
   return os.str();

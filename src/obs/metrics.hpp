@@ -68,11 +68,11 @@ struct Snapshot {
   struct SketchView {
     std::string name;
     Labels labels;
+    /// The sketch's whole state, copied under its lock; the fields below
+    /// are read from this copy, so they all describe one instant.
+    SketchCore sketch;
     double relative_accuracy = 0.0;
-    double gamma = 1.0;
     std::uint64_t zero_count = 0;
-    /// Sorted (log-bucket index, count) pairs — the full mergeable state.
-    std::vector<std::pair<std::int32_t, std::uint64_t>> buckets;
     std::uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
@@ -83,9 +83,11 @@ struct Snapshot {
     double p99 = 0.0;
     double p999 = 0.0;
 
-    /// Same estimate as QuantileSketch::quantile, recomputed from the
-    /// captured buckets (usable after merges). q in [0, 1]; 0 when empty.
-    [[nodiscard]] double quantile(double q) const;
+    /// sketch.quantile(q): the same rule as QuantileSketch::quantile.
+    /// q in [0, 1]; 0 when empty.
+    [[nodiscard]] double quantile(double q) const {
+      return sketch.quantile(q);
+    }
   };
 
   struct CounterView {

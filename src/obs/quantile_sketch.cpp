@@ -10,7 +10,7 @@
 
 namespace vodbcast::obs {
 
-QuantileSketch::QuantileSketch(Options options) : options_(options) {
+SketchCore::SketchCore(Options options) : options_(options) {
   VB_EXPECTS(options_.relative_accuracy > 0.0 &&
              options_.relative_accuracy < 1.0);
   VB_EXPECTS(options_.max_buckets >= 2);
@@ -19,15 +19,14 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
   log_gamma_ = std::log(gamma_);
 }
 
-std::int32_t QuantileSketch::index_of(double sample) const noexcept {
+std::int32_t SketchCore::index_of(double sample) const noexcept {
   // sample in (gamma^(i-1), gamma^i] -> bucket i. ceil() puts an exact
   // power on its own boundary; the +/- noise of log() stays within the
   // accuracy budget.
   return static_cast<std::int32_t>(std::ceil(std::log(sample) / log_gamma_));
 }
 
-void QuantileSketch::observe(double sample) noexcept {
-  const std::scoped_lock lock(mutex_);
+void SketchCore::observe(double sample) noexcept {
   if (count_ == 0) {
     min_ = sample;
     max_ = sample;
@@ -52,7 +51,7 @@ void QuantileSketch::observe(double sample) noexcept {
   }
 }
 
-std::size_t QuantileSketch::grow_to_cover(std::int32_t index) {
+std::size_t SketchCore::grow_to_cover(std::int32_t index) {
   if (counts_.empty()) {
     offset_ = index;
     counts_.resize(1);
@@ -73,7 +72,7 @@ std::size_t QuantileSketch::grow_to_cover(std::int32_t index) {
   return static_cast<std::size_t>(pos + static_cast<std::int64_t>(grow));
 }
 
-void QuantileSketch::collapse_to_budget() {
+void SketchCore::collapse_to_budget() {
   // Fold the lowest non-zero bucket into the next one until within budget:
   // low-end resolution degrades first, tail quantiles stay exact to the
   // accuracy bound. With max_buckets >= 2 both entries always exist.
@@ -93,7 +92,7 @@ void QuantileSketch::collapse_to_budget() {
   }
 }
 
-void QuantileSketch::merge_from(const QuantileSketch& other) {
+void SketchCore::merge_from(const SketchCore& other) {
   VB_EXPECTS(&other != this);
   if (options_.relative_accuracy != other.options_.relative_accuracy) {
     throw std::invalid_argument(
@@ -102,7 +101,6 @@ void QuantileSketch::merge_from(const QuantileSketch& other) {
         std::to_string(other.options_.relative_accuracy) +
         "); the bucket grids do not line up");
   }
-  const std::scoped_lock lock(mutex_, other.mutex_);
   if (other.count_ > 0) {
     if (count_ == 0) {
       min_ = other.min_;
@@ -128,9 +126,8 @@ void QuantileSketch::merge_from(const QuantileSketch& other) {
   }
 }
 
-double QuantileSketch::quantile(double q) const {
+double SketchCore::quantile(double q) const {
   VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  const std::scoped_lock lock(mutex_);
   if (count_ == 0) {
     return 0.0;
   }
@@ -156,49 +153,8 @@ double QuantileSketch::quantile(double q) const {
   return max_;  // unreachable unless counts desynced; clamp to the max
 }
 
-std::uint64_t QuantileSketch::count() const {
-  const std::scoped_lock lock(mutex_);
-  return count_;
-}
-
-double QuantileSketch::sum() const {
-  const std::scoped_lock lock(mutex_);
-  return sum_;
-}
-
-double QuantileSketch::min() const {
-  const std::scoped_lock lock(mutex_);
-  return count_ == 0 ? 0.0 : min_;
-}
-
-double QuantileSketch::max() const {
-  const std::scoped_lock lock(mutex_);
-  return count_ == 0 ? 0.0 : max_;
-}
-
-std::uint64_t QuantileSketch::zero_count() const {
-  const std::scoped_lock lock(mutex_);
-  return zero_count_;
-}
-
-std::size_t QuantileSketch::bucket_count() const {
-  const std::scoped_lock lock(mutex_);
-  return nonzero_;
-}
-
-std::uint64_t QuantileSketch::collapsed() const {
-  const std::scoped_lock lock(mutex_);
-  return collapsed_;
-}
-
-std::size_t QuantileSketch::retained_bytes() const {
-  const std::scoped_lock lock(mutex_);
-  return counts_.capacity() * sizeof(std::uint64_t);
-}
-
-std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
+std::vector<std::pair<std::int32_t, std::uint64_t>> SketchCore::buckets()
     const {
-  const std::scoped_lock lock(mutex_);
   std::vector<std::pair<std::int32_t, std::uint64_t>> out;
   out.reserve(nonzero_);
   for (std::size_t i = low_; i < counts_.size(); ++i) {
@@ -211,8 +167,7 @@ std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
   return out;
 }
 
-void QuantileSketch::clear() {
-  const std::scoped_lock lock(mutex_);
+void SketchCore::clear() {
   // Keeps the array's capacity for reuse; the next sample re-anchors it.
   counts_.clear();
   offset_ = 0;
@@ -224,6 +179,78 @@ void QuantileSketch::clear() {
   min_ = 0.0;
   max_ = 0.0;
   collapsed_ = 0;
+}
+
+void QuantileSketch::observe(double sample) noexcept {
+  const std::scoped_lock lock(mutex_);
+  core_.observe(sample);
+}
+
+void QuantileSketch::merge_from(const QuantileSketch& other) {
+  VB_EXPECTS(&other != this);
+  const std::scoped_lock lock(mutex_, other.mutex_);
+  core_.merge_from(other.core_);
+}
+
+double QuantileSketch::quantile(double q) const {
+  const std::scoped_lock lock(mutex_);
+  return core_.quantile(q);
+}
+
+std::uint64_t QuantileSketch::count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.count();
+}
+
+double QuantileSketch::sum() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.sum();
+}
+
+double QuantileSketch::min() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.min();
+}
+
+double QuantileSketch::max() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.max();
+}
+
+std::uint64_t QuantileSketch::zero_count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.zero_count();
+}
+
+std::size_t QuantileSketch::bucket_count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.bucket_count();
+}
+
+std::uint64_t QuantileSketch::collapsed() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.collapsed();
+}
+
+std::size_t QuantileSketch::retained_bytes() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.retained_bytes();
+}
+
+std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
+    const {
+  const std::scoped_lock lock(mutex_);
+  return core_.buckets();
+}
+
+SketchCore QuantileSketch::core() const {
+  const std::scoped_lock lock(mutex_);
+  return core_;
+}
+
+void QuantileSketch::clear() {
+  const std::scoped_lock lock(mutex_);
+  core_.clear();
 }
 
 }  // namespace vodbcast::obs

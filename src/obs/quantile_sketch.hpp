@@ -21,7 +21,11 @@
 //   * non-negative domain — waits, gaps and durations are >= 0. Samples
 //     below the minimum trackable value (including any negative input)
 //     land in a dedicated zero bucket whose estimate is exactly 0;
-//   * any-thread — every member takes the sketch's mutex.
+//   * one owner, or any thread — SketchCore holds the state and every
+//     algorithm over it with no lock: copyable, for one owner at a time
+//     (sim::Distribution keeps one by value). QuantileSketch is a
+//     SketchCore plus a mutex that every member takes, so registry
+//     sketches stay safe to observe, merge and read from any thread.
 //
 // Storage: a dense array of counts indexed by (bucket index - offset),
 // grown at either end as samples arrive, so an observe is one log, one
@@ -40,11 +44,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace vodbcast::obs {
 
-class QuantileSketch {
+/// The unlocked sketch: state, growth, collapse, merge and the one
+/// quantile rule. Not thread-safe; copies are independent sketches.
+class SketchCore {
  public:
   struct Options {
     /// Relative accuracy `a`: quantile estimates are within a factor
@@ -58,18 +65,15 @@ class QuantileSketch {
   /// Values at or below this threshold count in the zero bucket.
   static constexpr double kMinTrackable = 1e-9;
 
-  QuantileSketch() : QuantileSketch(Options{}) {}
-  explicit QuantileSketch(Options options);
-
-  QuantileSketch(const QuantileSketch&) = delete;
-  QuantileSketch& operator=(const QuantileSketch&) = delete;
+  SketchCore() : SketchCore(Options{}) {}
+  explicit SketchCore(Options options);
 
   void observe(double sample) noexcept;
 
   /// Folds `other` bucket-wise into this sketch, then re-applies the bucket
   /// budget. Throws std::invalid_argument when the relative accuracies
   /// differ (the bucket grids would not line up).
-  void merge_from(const QuantileSketch& other);
+  void merge_from(const SketchCore& other);
 
   /// Quantile estimate for q in [0, 1]; 0 when empty. Within
   /// relative_accuracy() of a true sample value and inside the exact
@@ -77,17 +81,25 @@ class QuantileSketch {
   /// degrade only the low quantiles).
   [[nodiscard]] double quantile(double q) const;
 
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  [[nodiscard]] double min() const;  ///< 0 when empty
-  [[nodiscard]] double max() const;  ///< 0 when empty
-  [[nodiscard]] std::uint64_t zero_count() const;
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] double sum() const noexcept { return sum_; }
+  [[nodiscard]] double min() const noexcept {  ///< 0 when empty
+    return count_ == 0 ? 0.0 : min_;
+  }
+  [[nodiscard]] double max() const noexcept {  ///< 0 when empty
+    return count_ == 0 ? 0.0 : max_;
+  }
+  [[nodiscard]] std::uint64_t zero_count() const noexcept {
+    return zero_count_;
+  }
   /// Number of tracked (non-zero) buckets, <= max_buckets.
-  [[nodiscard]] std::size_t bucket_count() const;
+  [[nodiscard]] std::size_t bucket_count() const noexcept { return nonzero_; }
   /// Times the bucket budget forced a collapse of the lowest buckets.
-  [[nodiscard]] std::uint64_t collapsed() const;
+  [[nodiscard]] std::uint64_t collapsed() const noexcept { return collapsed_; }
   /// Heap bytes held by the bucket array (its capacity, zeros included).
-  [[nodiscard]] std::size_t retained_bytes() const;
+  [[nodiscard]] std::size_t retained_bytes() const noexcept {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
 
   [[nodiscard]] double relative_accuracy() const noexcept {
     return options_.relative_accuracy;
@@ -96,7 +108,7 @@ class QuantileSketch {
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
   /// Sorted (bucket index, count) pairs — the full mergeable state, used by
-  /// snapshots and the bit-identity tests.
+  /// the bit-identity tests.
   [[nodiscard]] std::vector<std::pair<std::int32_t, std::uint64_t>> buckets()
       const;
 
@@ -127,7 +139,6 @@ class QuantileSketch {
   Options options_;
   double gamma_;
   double log_gamma_;
-  mutable std::mutex mutex_;
   std::vector<std::uint64_t> counts_;  ///< counts_[i] is bucket offset_ + i
   std::int64_t offset_ = 0;
   std::size_t nonzero_ = 0;  ///< non-zero entries of counts_
@@ -138,6 +149,64 @@ class QuantileSketch {
   double min_ = 0.0;
   double max_ = 0.0;
   std::uint64_t collapsed_ = 0;
+};
+
+/// A SketchCore behind a mutex: the any-thread sketch the metrics registry
+/// hands out. Every member takes the lock and defers to the core.
+class QuantileSketch {
+ public:
+  using Options = SketchCore::Options;
+  static constexpr double kMinTrackable = SketchCore::kMinTrackable;
+
+  QuantileSketch() : QuantileSketch(Options{}) {}
+  explicit QuantileSketch(Options options) : core_(options) {}
+
+  QuantileSketch(const QuantileSketch&) = delete;
+  QuantileSketch& operator=(const QuantileSketch&) = delete;
+
+  void observe(double sample) noexcept;
+
+  /// SketchCore::merge_from under both sketches' locks.
+  void merge_from(const QuantileSketch& other);
+
+  /// SketchCore::quantile under the lock.
+  [[nodiscard]] double quantile(double q) const;
+
+  [[nodiscard]] std::uint64_t count() const;
+  [[nodiscard]] double sum() const;
+  [[nodiscard]] double min() const;  ///< 0 when empty
+  [[nodiscard]] double max() const;  ///< 0 when empty
+  [[nodiscard]] std::uint64_t zero_count() const;
+  /// Number of tracked (non-zero) buckets, <= max_buckets.
+  [[nodiscard]] std::size_t bucket_count() const;
+  /// Times the bucket budget forced a collapse of the lowest buckets.
+  [[nodiscard]] std::uint64_t collapsed() const;
+  /// Heap bytes held by the bucket array (its capacity, zeros included).
+  [[nodiscard]] std::size_t retained_bytes() const;
+
+  // The options never change after construction, so these need no lock.
+  [[nodiscard]] double relative_accuracy() const noexcept {
+    return core_.relative_accuracy();
+  }
+  [[nodiscard]] double gamma() const noexcept { return core_.gamma(); }
+  [[nodiscard]] const Options& options() const noexcept {
+    return core_.options();
+  }
+
+  /// Sorted (bucket index, count) pairs — the full mergeable state, used by
+  /// the bit-identity tests.
+  [[nodiscard]] std::vector<std::pair<std::int32_t, std::uint64_t>> buckets()
+      const;
+
+  /// A copy of the whole state taken under one lock, so every statistic of
+  /// the copy describes the same instant (metrics snapshots read this).
+  [[nodiscard]] SketchCore core() const;
+
+  void clear();
+
+ private:
+  mutable std::mutex mutex_;
+  SketchCore core_;
 };
 
 }  // namespace vodbcast::obs

@@ -9,31 +9,6 @@
 
 namespace vodbcast::sim {
 
-Distribution::Distribution(const Distribution& other)
-    : samples_(other.samples_),
-      cap_(other.cap_),
-      count_(other.count_),
-      sum_(other.sum_),
-      min_(other.min_),
-      max_(other.max_),
-      welford_mean_(other.welford_mean_),
-      welford_m2_(other.welford_m2_) {
-  if (other.sketch_ != nullptr) {
-    // QuantileSketch is non-copyable; an empty sketch on the same bucket
-    // grid plus a bucket-wise merge reproduces the state exactly.
-    sketch_ = std::make_unique<obs::QuantileSketch>(other.sketch_->options());
-    sketch_->merge_from(*other.sketch_);
-  }
-}
-
-Distribution& Distribution::operator=(const Distribution& other) {
-  if (this != &other) {
-    Distribution copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 void Distribution::add(double sample) {
   if (count_ == 0) {
     min_ = sample;
@@ -47,24 +22,22 @@ void Distribution::add(double sample) {
   const double delta = sample - welford_mean_;
   welford_mean_ += delta / static_cast<double>(count_);
   welford_m2_ += delta * (sample - welford_mean_);
-  if (sketch_ != nullptr) {
-    sketch_->observe(sample);
+  if (folded_) {
+    sketch_.observe(sample);
     return;
   }
   if (cap_ != 0 && samples_.size() >= cap_) {
     fold_now();
-    sketch_->observe(sample);
+    sketch_.observe(sample);
     return;
   }
   samples_.push_back(sample);
 }
 
 void Distribution::fold_now() {
-  if (sketch_ == nullptr) {
-    sketch_ = std::make_unique<obs::QuantileSketch>();
-  }
+  folded_ = true;
   for (const double s : samples_) {
-    sketch_->observe(s);
+    sketch_.observe(s);
   }
   samples_.clear();
   samples_.shrink_to_fit();
@@ -92,7 +65,7 @@ void Distribution::merge(const Distribution& other) {
   sum_ += other.sum_;
 
   const bool must_fold =
-      sketch_ != nullptr || other.sketch_ != nullptr ||
+      folded_ || other.folded_ ||
       (cap_ != 0 && samples_.size() + other.samples_.size() > cap_);
   if (!must_fold) {
     samples_.insert(samples_.end(), other.samples_.begin(),
@@ -101,10 +74,10 @@ void Distribution::merge(const Distribution& other) {
   }
   fold_now();
   for (const double s : other.samples_) {
-    sketch_->observe(s);
+    sketch_.observe(s);
   }
-  if (other.sketch_ != nullptr) {
-    sketch_->merge_from(*other.sketch_);
+  if (other.folded_) {
+    sketch_.merge_from(other.sketch_);
   }
 }
 
@@ -116,7 +89,7 @@ void Distribution::set_sample_cap(std::size_t cap) {
 }
 
 std::uint64_t Distribution::samples_folded() const noexcept {
-  return sketch_ != nullptr ? sketch_->count() : 0;
+  return sketch_.count();
 }
 
 double Distribution::mean() const {
@@ -143,8 +116,8 @@ std::vector<double> Distribution::sorted_copy() const {
 double Distribution::quantile(double q) const {
   VB_EXPECTS(count_ != 0);
   VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (sketch_ != nullptr) {
-    return sketch_->quantile(q);
+  if (folded_) {
+    return sketch_.quantile(q);
   }
   // Scratch sort, freed on return: the distribution never retains a second
   // copy of its samples between queries.
@@ -156,7 +129,7 @@ double Distribution::stddev() const {
   if (count_ < 2) {
     return 0.0;
   }
-  if (sketch_ != nullptr) {
+  if (folded_) {
     return std::sqrt(welford_m2_ / static_cast<double>(count_));
   }
   // Two-pass: center first, then accumulate squared deviations. The
@@ -172,17 +145,13 @@ double Distribution::stddev() const {
 }
 
 std::size_t Distribution::retained_bytes() const noexcept {
-  std::size_t bytes = samples_.capacity() * sizeof(double);
-  if (sketch_ != nullptr) {
-    bytes += sizeof(obs::QuantileSketch) + sketch_->retained_bytes();
-  }
-  return bytes;
+  return samples_.capacity() * sizeof(double) + sketch_.retained_bytes();
 }
 
 HistogramBins Distribution::histogram(std::size_t bins) const {
   VB_EXPECTS(count_ != 0);
   VB_EXPECTS(bins >= 1);
-  VB_EXPECTS_MSG(sketch_ == nullptr,
+  VB_EXPECTS_MSG(!folded_,
                  "histogram() needs the raw samples; distribution is folded");
   HistogramBins out;
   out.lo = min();
@@ -210,7 +179,7 @@ std::string Distribution::summary() const {
                 count(), mean(), quantile(0.5), quantile(0.95),
                 quantile(0.99), max());
   std::string out = buf;
-  if (sketch_ != nullptr) {
+  if (folded_) {
     out += " folded=" + std::to_string(samples_folded());
   }
   return out;

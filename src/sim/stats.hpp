@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,23 +24,20 @@ struct HistogramBins {
 ///     interpolate over the sorted samples — bit-for-bit the historical
 ///     behavior;
 ///   * streaming (set_sample_cap(n)): samples are retained exactly up to
-///     the cap; crossing it folds everything into an obs::QuantileSketch
+///     the cap; crossing it folds everything into an obs::SketchCore
 ///     and frees the sample storage, so memory stays O(sketch buckets) no
 ///     matter how many samples arrive. Count, sum, mean, min and max stay
 ///     exact in both modes; folded quantiles carry the sketch's relative
 ///     accuracy and stddev switches to the streaming (Welford) moments.
+///     The sketch is held by value and unlocked: a Distribution has one
+///     owner at a time, so a folded add() costs one log and one array
+///     increment, with no lock and no allocation once its range is covered.
 ///
 /// Merging two distributions in a fixed order yields identical state at
 /// any thread count, in either mode (sketch buckets are order-free and the
 /// scalar moments combine in merge order).
 class Distribution {
  public:
-  Distribution() = default;
-  Distribution(const Distribution& other);
-  Distribution& operator=(const Distribution& other);
-  Distribution(Distribution&&) noexcept = default;
-  Distribution& operator=(Distribution&&) noexcept = default;
-
   void add(double sample);
 
   /// Folds `other`'s samples into this distribution (shard merging: each
@@ -57,7 +53,7 @@ class Distribution {
   [[nodiscard]] std::size_t sample_cap() const noexcept { return cap_; }
   /// True once samples have been folded into the sketch (quantiles are now
   /// sketch-backed estimates; count/sum/mean/min/max remain exact).
-  [[nodiscard]] bool folded() const noexcept { return sketch_ != nullptr; }
+  [[nodiscard]] bool folded() const noexcept { return folded_; }
   /// Samples represented only by the sketch; 0 while exact.
   [[nodiscard]] std::uint64_t samples_folded() const noexcept;
 
@@ -87,9 +83,10 @@ class Distribution {
   [[nodiscard]] double stddev() const;
 
   /// Heap bytes retained by this distribution right now: sample storage
-  /// capacity, plus the sketch object and its bucket array's capacity once
-  /// folded. Quantile calls sort into a scratch copy that is freed before
-  /// returning, so this is also the post-query high water.
+  /// capacity plus the sketch's bucket array capacity (the sketch itself
+  /// lives inside the distribution). Quantile calls sort into a scratch
+  /// copy that is freed before returning, so this is also the post-query
+  /// high water.
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
   /// Equal-width bins spanning [min(), max()]; the top edge is inclusive so
@@ -108,7 +105,8 @@ class Distribution {
 
   std::vector<double> samples_;
   std::size_t cap_ = 0;  ///< 0 = retain everything
-  std::unique_ptr<obs::QuantileSketch> sketch_;
+  obs::SketchCore sketch_;  ///< holds every sample once folded_
+  bool folded_ = false;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -131,7 +131,7 @@ class Canon {
       field(key + ".min", s.min);
       field(key + ".max", s.max);
       field(key + ".collapsed", s.collapsed);
-      for (const auto& [index, count] : s.buckets) {
+      for (const auto& [index, count] : s.sketch.buckets()) {
         field(key + ".b" + std::to_string(index), count);
       }
     }

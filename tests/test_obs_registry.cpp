@@ -176,7 +176,7 @@ TEST(RegistryMergeTest, CountersAddGaugesMaxSketchesBucketAdd) {
   for (const double v : {0.5, 5.0, 0.25}) {
     whole.observe(v);
   }
-  EXPECT_EQ(wait->buckets, whole.buckets());
+  EXPECT_EQ(wait->sketch.buckets(), whole.buckets());
   // The source is untouched.
   EXPECT_EQ(counter_value(b.snapshot(), "served"), 5U);
 }
