@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "batching/scheduled_multicast.hpp"
 #include "obs/log.hpp"
@@ -487,7 +489,12 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
   VB_EXPECTS(config.hot_titles >= 1);
   VB_EXPECTS(config.hot_titles <= config.catalog_size);
   VB_EXPECTS(config.broadcast_channels_per_video >= 1);
-  VB_EXPECTS(config.horizon.v > 0.0);
+  // Caller-facing, as in the other engines: a zero, negative or NaN
+  // horizon would report an empty run as if it had succeeded.
+  if (!(config.horizon.v > 0.0)) {
+    throw std::invalid_argument("adaptive horizon must be positive, got " +
+                                std::to_string(config.horizon.v) + " min");
+  }
   VB_EXPECTS(config.arrivals_per_minute > 0.0);
   VB_EXPECTS(config.convergence_fraction > 0.0 &&
              config.convergence_fraction <= 1.0);

@@ -131,8 +131,9 @@ struct AdaptiveReport {
 };
 
 /// Runs the adaptive hybrid end to end on one seeded request stream.
-/// Preconditions (std::invalid_argument, from the allocator): a budget that
-/// carries the tail floor, differing hysteresis thresholds.
+/// Preconditions (std::invalid_argument): a positive horizon (zero,
+/// negative and NaN are refused) and, from the allocator, a budget that
+/// carries the tail floor and differing hysteresis thresholds.
 [[nodiscard]] AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
                                                const AdaptiveConfig& config);
 

@@ -412,6 +412,23 @@ TEST(AdaptiveSimTest, OverloadDegradesInsteadOfRejecting) {
 
 // ------------------------------------------------------------- determinism
 
+TEST(AdaptiveSimTest, RefusesANonPositiveHorizonWithInvalidArgument) {
+  // The documented std::invalid_argument, as sim::simulate, the scheduled
+  // multicast and the federation throw, not a contract violation.
+  const batching::MqlPolicy policy;
+  for (const double horizon : {0.0, -5.0, std::nan("")}) {
+    auto config = adaptive_config();
+    config.horizon = core::Minutes{horizon};
+    try {
+      (void)ctrl::simulate_adaptive(policy, config);
+      ADD_FAILURE() << "horizon " << horizon << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("horizon"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(AdaptiveSimTest, ReplicatedBitIdenticalSerialVsParallel) {
   const batching::MqlPolicy policy;
   auto config = adaptive_config();
