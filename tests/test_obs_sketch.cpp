@@ -672,5 +672,58 @@ TEST(QuantileSketchDifferentialTest, ClearThenReuseMatchesMapReference) {
   }
 }
 
+TEST(QuantileSketchDifferentialTest, SnapshotQuantilesEqualQuantile) {
+  // A metrics snapshot reports p50/p95/p99/p999 through the same rule as
+  // QuantileSketch::quantile, on seeded random sketches of every shape.
+  for (const auto& options : differential_grid()) {
+    for (const std::uint64_t seed : {3ULL, 77ULL, 20261019ULL}) {
+      SCOPED_TRACE(label(options, seed));
+      Registry registry;
+      auto& s = registry.sketch("x", options);
+      util::Rng rng(seed);
+      const auto n = 1 + rng.next_below(5000);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        s.observe(mixed_sample(rng, s.gamma()));
+      }
+      const auto snap = registry.snapshot();
+      ASSERT_EQ(snap.sketches.size(), 1U);
+      const auto& view = snap.sketches[0];
+      EXPECT_EQ(view.p50, s.quantile(0.50));
+      EXPECT_EQ(view.p95, s.quantile(0.95));
+      EXPECT_EQ(view.p99, s.quantile(0.99));
+      EXPECT_EQ(view.p999, s.quantile(0.999));
+      for (int k = 0; k <= 256; ++k) {
+        const double q = static_cast<double>(k) / 256.0;
+        ASSERT_EQ(view.quantile(q), s.quantile(q)) << "q=" << q;
+      }
+      EXPECT_EQ(view.count, s.count());
+      EXPECT_EQ(view.sketch.buckets(), s.buckets());
+    }
+  }
+}
+
+TEST(SketchCoreTest, CopiesAreIndependentAndMatchTheLockedSketch) {
+  util::Rng rng(11);
+  SketchCore core;
+  QuantileSketch locked;
+  for (int i = 0; i < 3000; ++i) {
+    const double v = mixed_sample(rng, core.gamma());
+    core.observe(v);
+    locked.observe(v);
+  }
+  const SketchCore copy = core;
+  const SketchCore taken = locked.core();
+  EXPECT_EQ(copy.buckets(), locked.buckets());
+  EXPECT_EQ(taken.buckets(), locked.buckets());
+  EXPECT_EQ(taken.quantile(0.99), locked.quantile(0.99));
+  // Later samples reach the original only.
+  core.observe(1e6);
+  core.observe(1e6);
+  EXPECT_EQ(copy.count(), 3000U);
+  EXPECT_EQ(core.count(), 3002U);
+  EXPECT_EQ(copy.buckets(), locked.buckets());
+  EXPECT_NE(core.buckets(), copy.buckets());
+}
+
 }  // namespace
 }  // namespace vodbcast::obs
