@@ -98,7 +98,7 @@ class SpanTracer {
   void fill(std::uint64_t ordinal, Span span) {
     VB_EXPECTS(retained(ordinal));
     span.id = ordinal + 1;
-    ring_[static_cast<std::size_t>(ordinal % capacity_)] = std::move(span);
+    ring_[slot(ordinal)] = std::move(span);
   }
 
   /// Re-records `other`'s retained spans (in their start-time order, ties in
@@ -140,6 +140,13 @@ class SpanTracer {
   void clear() noexcept;
 
  private:
+  /// The slot of a retained ordinal, counted back from the cursor, so a
+  /// fill divides nothing: recorded_ - ordinal lies in [1, capacity_].
+  [[nodiscard]] std::size_t slot(std::uint64_t ordinal) const noexcept {
+    const auto back = static_cast<std::size_t>(recorded_ - ordinal);
+    return cursor_ >= back ? cursor_ - back : cursor_ + capacity_ - back;
+  }
+
   std::vector<Span> ring_;
   std::size_t capacity_;
   std::size_t cursor_ = 0;  ///< slot of the next record: recorded_ % capacity_

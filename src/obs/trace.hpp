@@ -94,7 +94,7 @@ class Tracer {
   /// Preconditions: retained(ordinal).
   void fill(std::uint64_t ordinal, const TraceEvent& event) {
     VB_EXPECTS(retained(ordinal));
-    ring_[static_cast<std::size_t>(ordinal % capacity_)] = event;
+    ring_[slot(ordinal)] = event;
   }
 
   /// Re-records `other`'s retained events (in their time order) into this
@@ -123,6 +123,13 @@ class Tracer {
   void clear() noexcept;
 
  private:
+  /// The slot of a retained ordinal, counted back from the cursor, so a
+  /// fill divides nothing: recorded_ - ordinal lies in [1, capacity_].
+  [[nodiscard]] std::size_t slot(std::uint64_t ordinal) const noexcept {
+    const auto back = static_cast<std::size_t>(recorded_ - ordinal);
+    return cursor_ >= back ? cursor_ - back : cursor_ + capacity_ - back;
+  }
+
   std::vector<TraceEvent> ring_;
   std::size_t capacity_;
   std::size_t cursor_ = 0;  ///< slot of the next record: recorded_ % capacity_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -96,123 +95,303 @@ void trace_channel_slots(obs::Sink& sink, const channel::ChannelPlan& plan,
   }
 }
 
-/// One served client's reception plan as sink records: per download, a
-/// start and an end trace event plus a segment_download span hanging off the
-/// client's session span (channel = segment index, so the chrome export
-/// draws each download on its segment track with a flow arrow from the
-/// session). Download i owns trace ordinals first_event + 2i and
-/// first_event + 2i + 1 and span ordinal first_span + i.
-struct ReceptionRecords {
-  client::PlanView plan;
-  double d1 = 0.0;
-  core::VideoId video = 0;
-  std::uint64_t client = 0;
-  std::uint64_t session_span = 0;
-  std::uint64_t first_event = 0;
-  std::uint64_t first_span = 0;
+/// One damaged download of a planned client: its window in minutes and the
+/// fault assessor's verdict.
+struct DamagedDownload {
+  int segment = 0;
+  double w_begin = 0.0;
+  double w_end = 0.0;
+  double deadline_min = 0.0;
+  double period_min = 0.0;
+  fault::DownloadDamage damage;
+
+  /// Download and playback both run at the display rate, so a catch-up that
+  /// slides the download later stalls every byte by the same amount: the
+  /// penalty is the effective start's overshoot past the segment's playback
+  /// deadline.
+  [[nodiscard]] double repair_penalty() const {
+    const double effective_start = damage.repaired_at_min - (w_end - w_begin);
+    return std::max(0.0, effective_start - deadline_min);
+  }
+  /// When the last catch-up repetition of a degraded download ended.
+  [[nodiscard]] double degraded_at() const {
+    return w_end + static_cast<double>(damage.retries) * period_min;
+  }
 };
 
-/// Writes the positions of `block` the sink's rings still retain.
-void fill_reception(obs::Sink& sink, const ReceptionRecords& block) {
-  for (std::size_t i = 0; i < block.plan.download_count(); ++i) {
-    const std::uint64_t event = block.first_event + 2 * i;
-    const std::uint64_t span = block.first_span + i;
-    if (!sink.trace.retained(event + 1) && !sink.spans.retained(span)) {
-      continue;
-    }
-    const auto d = block.plan.download(i);
-    const double start_min = static_cast<double>(d.start) * block.d1;
-    const double length_min = static_cast<double>(d.length) * block.d1;
-    if (sink.trace.retained(event)) {
-      sink.trace.fill(event, obs::TraceEvent{
-                                 .sim_time_min = start_min,
-                                 .kind = obs::EventKind::kSegmentDownloadStart,
-                                 .channel = d.segment,
-                                 .video = block.video,
-                                 .client = block.client,
-                                 .value = length_min,
-                             });
-    }
-    if (sink.trace.retained(event + 1)) {
-      sink.trace.fill(event + 1, obs::TraceEvent{
-                                     .sim_time_min = start_min + length_min,
-                                     .kind = obs::EventKind::kSegmentDownloadEnd,
-                                     .channel = d.segment,
-                                     .video = block.video,
-                                     .client = block.client,
-                                     .value = 0.0,
-                                 });
-    }
-    if (sink.spans.retained(span)) {
-      sink.spans.fill(span, obs::Span{
-                                .parent = block.session_span,
-                                .start_min = start_min,
-                                .end_min = start_min + length_min,
-                                .phase = obs::SpanPhase::kSegmentDownload,
-                                .channel = d.segment,
-                                .video = block.video,
-                                .client = block.client,
-                                .value = length_min,
-                                .label = {},
-                            });
+/// Calls `visit` on each damaged download of `plan`, client `client`'s
+/// reception plan, in download order. Only the downloads some episode
+/// touches are assessed; every other download is clean. Views hand out
+/// downloads already shifted into absolute time, so damage is assessed
+/// against the arrival's real windows and cached plans never alias another
+/// arrival's damage. The verdicts are a pure function of (client, plan), so
+/// the arrival handler folds them and the record writer derives them again
+/// for the clients whose records the rings keep.
+template <class Visit>
+void for_each_damaged(FaultSweep& sweep, const fault::Injector* injector,
+                      client::PlanView plan, double d1, std::uint64_t client,
+                      Visit&& visit) {
+  for (const std::size_t di : sweep.touched(plan)) {
+    const auto d = plan.download(di);
+    DamagedDownload hit{
+        .segment = d.segment,
+        .w_begin = static_cast<double>(d.start) * d1,
+        .w_end = static_cast<double>(d.end()) * d1,
+        .deadline_min = static_cast<double>(d.deadline) * d1,
+        .period_min = static_cast<double>(d.length) * d1,
+        .damage = {},
+    };
+    hit.damage = fault::assess_download(
+        injector, hit.w_begin, hit.w_end, d.segment, hit.period_min,
+        client * 4096 + static_cast<std::uint64_t>(d.segment));
+    if (hit.damage.damaged) {
+      visit(hit);
     }
   }
 }
 
-/// Reception records a run has claimed but not yet written, oldest first.
-/// A view served from an enabled PlanCache lives as long as the cache, so
-/// its block waits here and is written when the run ends; whatever the rings
-/// overwrite in the meantime is never built. Any other view dies at the next
-/// plan lookup, so its block is written at once. Blocks whose positions have all
-/// left both rings are dropped before each push, which bounds the queue to
-/// about a ring's worth of clients.
-class PendingReceptions {
+/// One served client's sink records, claimed as one block per ring. In
+/// ordinal order the trace block holds the arrival, the tune-in, a jitter
+/// event when the plan misses a deadline, a start and an end event per
+/// download, then per damaged download its hit followed by its repair or
+/// degraded event. The span block holds the session, its tune and playback
+/// children, a segment_download child per download (channel = segment
+/// index, so the chrome export draws each download on its segment track with
+/// a flow arrow from the session), then a repair child per repaired
+/// download. An unplanned client (a scheme other than SB, or plan_clients
+/// off) has no plan view, so no downloads, jitter or damage.
+struct ClientRecords {
+  client::PlanView plan;
+  double arrival_min = 0.0;
+  double start_min = 0.0;  ///< the joined segment-1 broadcast
+  core::VideoId video = 0;
+  std::uint64_t client = 0;
+  std::size_t hits = 0;
+  std::size_t repairs = 0;
+  std::uint64_t first_event = 0;
+  std::uint64_t first_span = 0;  ///< the session span; its id is one more
+
+  [[nodiscard]] bool jitter() const {
+    return plan.valid() && !plan.jitter_free();
+  }
+  [[nodiscard]] std::size_t downloads() const {
+    return plan.valid() ? plan.download_count() : 0;
+  }
+  [[nodiscard]] std::size_t event_count() const {
+    return 2 + (jitter() ? 1 : 0) + 2 * downloads() + 2 * hits;
+  }
+  [[nodiscard]] std::size_t span_count() const {
+    return 3 + downloads() + repairs;
+  }
+};
+
+/// Claims every served client's records and writes only those the sink's
+/// rings keep. A block whose view is served from an enabled PlanCache (which
+/// lives as long as the run) waits in a ring of pending blocks and is written
+/// when the run ends, so whatever the sink's rings overwrite in the meantime
+/// is never built. Any other view dies at the next plan lookup, so its block
+/// is written at once; so is the block of an unplanned client, which owes
+/// only its five session records. Blocks whose positions have all left both
+/// rings are dropped before each push, which bounds the pending ring to about
+/// a ring's worth of clients: it grows to that bound and then allocates no
+/// more.
+class ClientRecordWriter {
  public:
-  explicit PendingReceptions(obs::Sink* sink) : sink_(sink) {}
-  PendingReceptions(const PendingReceptions&) = delete;
-  PendingReceptions& operator=(const PendingReceptions&) = delete;
-  /// Writes every pending block on any exit from the run, an exception
-  /// included, so no claimed placeholder reaches a reader of the rings.
-  ~PendingReceptions() {
-    for (const auto& block : blocks_) {
-      fill_reception(*sink_, block);
+  /// `d1` is the layout's unit duration (unused without a layout). `sweep`
+  /// is the run's fault sweep (null without one); it and the plan cache
+  /// must outlive the writer.
+  ClientRecordWriter(obs::Sink& sink, double d1, double duration_min,
+                     FaultSweep* sweep, const fault::Injector* injector,
+                     bool defer)
+      : sink_(sink),
+        d1_(d1),
+        duration_min_(duration_min),
+        sweep_(sweep),
+        injector_(injector),
+        defer_(defer) {}
+  ClientRecordWriter(const ClientRecordWriter&) = delete;
+  ClientRecordWriter& operator=(const ClientRecordWriter&) = delete;
+  /// Blocks are still pending here only when the run exits by an
+  /// exception: they are written so that no claimed placeholder reaches a
+  /// reader of the rings, and a failure to write them is logged, because
+  /// the exception already on its way to the caller must not be replaced.
+  ~ClientRecordWriter() {
+    try {
+      finish();
+    } catch (const std::exception& e) {
+      obs::logf(obs::LogLevel::kError,
+                "simulate: pending client records left unwritten: %s",
+                e.what());
     }
   }
 
-  /// Claims the ring positions of `block`'s records; `defer` keeps the
-  /// block for the end of the run instead of writing it now.
-  void claim(ReceptionRecords block, bool defer) {
-    const std::size_t downloads = block.plan.download_count();
-    obs::Sink& sink = *sink_;
-    block.first_event = sink.trace.reserve(2 * downloads);
+  /// Writes every pending block; called once the run is over.
+  void finish() {
+    while (count_ > 0) {
+      const ClientRecords& block = pending_[head_];
+      drop_front();
+      write(block);
+    }
+  }
+
+  /// Claims the ring positions of `block`'s records: one claim per ring.
+  void claim(ClientRecords block) {
+    block.first_event = sink_.trace.reserve(block.event_count());
     // The block owns no span position until the span claim succeeds, so a
     // write on the way out of a failed claim skips the spans.
-    block.first_span = sink.spans.recorded();
+    block.first_span = sink_.spans.recorded();
     try {
-      block.first_span = sink.spans.reserve(downloads);
-      if (defer) {
-        while (!blocks_.empty() && overwritten(blocks_.front())) {
-          blocks_.pop_front();
+      block.first_span = sink_.spans.reserve(block.span_count());
+      if (defer_) {
+        while (count_ > 0 && overwritten(pending_[head_])) {
+          drop_front();
         }
-        blocks_.push_back(block);
+        push(block);
         return;
       }
     } catch (...) {
-      fill_reception(sink, block);
+      write(block);
       throw;
     }
-    fill_reception(sink, block);
+    write(block);
   }
 
  private:
-  [[nodiscard]] bool overwritten(const ReceptionRecords& block) const {
-    const std::uint64_t downloads = block.plan.download_count();
-    return !sink_->trace.retained(block.first_event + 2 * downloads - 1) &&
-           !sink_->spans.retained(block.first_span + downloads - 1);
+  [[nodiscard]] bool overwritten(const ClientRecords& block) const {
+    return !sink_.trace.retained(block.first_event + block.event_count() - 1) &&
+           !sink_.spans.retained(block.first_span + block.span_count() - 1);
   }
 
-  obs::Sink* sink_;
-  std::deque<ReceptionRecords> blocks_;
+  /// Drops the oldest pending block; its slot stays readable until the next
+  /// push.
+  void drop_front() noexcept {
+    head_ = (head_ + 1) & (pending_.size() - 1);
+    --count_;
+  }
+
+  /// Appends `block`, doubling the ring when it is full. Strong exception
+  /// guarantee.
+  void push(const ClientRecords& block) {
+    if (count_ == pending_.size()) {
+      std::vector<ClientRecords> grown(
+          std::max<std::size_t>(64, 2 * pending_.size()));
+      for (std::size_t i = 0; i < count_; ++i) {
+        grown[i] = pending_[(head_ + i) & (pending_.size() - 1)];
+      }
+      pending_.swap(grown);
+      head_ = 0;
+    }
+    pending_[(head_ + count_) & (pending_.size() - 1)] = block;
+    ++count_;
+  }
+
+  /// Writes the positions of `block` the sink's rings still retain.
+  void write(const ClientRecords& block) {
+    if (overwritten(block)) {
+      return;
+    }
+    obs::Tracer& trace = sink_.trace;
+    obs::SpanTracer& spans = sink_.spans;
+    std::uint64_t event = block.first_event;
+    std::uint64_t span = block.first_span;
+    const std::uint64_t session = block.first_span + 1;
+    const auto put_event = [&](obs::EventKind kind, double time_min,
+                               std::int32_t channel, double value) {
+      if (trace.retained(event)) {
+        trace.fill(event, obs::TraceEvent{
+                              .sim_time_min = time_min,
+                              .kind = kind,
+                              .channel = channel,
+                              .video = block.video,
+                              .client = block.client,
+                              .value = value,
+                          });
+      }
+      ++event;
+    };
+    const auto put_span = [&](obs::SpanPhase phase, std::uint64_t parent,
+                              double start_min, double end_min,
+                              std::int32_t channel, double value) {
+      if (spans.retained(span)) {
+        spans.fill(span, obs::Span{
+                             .parent = parent,
+                             .start_min = start_min,
+                             .end_min = end_min,
+                             .phase = phase,
+                             .channel = channel,
+                             .video = block.video,
+                             .client = block.client,
+                             .value = value,
+                             .label = {},
+                         });
+      }
+      ++span;
+    };
+
+    const double wait = block.start_min - block.arrival_min;
+    put_event(obs::EventKind::kClientArrival, block.arrival_min, 0, 0.0);
+    put_event(obs::EventKind::kTuneIn, block.start_min, 0, wait);
+    if (block.jitter()) {
+      put_event(obs::EventKind::kJitter, block.start_min, 0, 0.0);
+    }
+    // Causal span tree: the session covers arrival → playback end, with a
+    // tune child for the wait (its duration *is* the reported wait — the
+    // invariant trace_analyze --check leans on) and a playback child for
+    // the consumption window.
+    const double session_end = block.start_min + duration_min_;
+    put_span(obs::SpanPhase::kSession, 0, block.arrival_min, session_end, 0,
+             wait);
+    put_span(obs::SpanPhase::kTune, session, block.arrival_min,
+             block.start_min, 0, wait);
+    put_span(obs::SpanPhase::kPlayback, session, block.start_min, session_end,
+             0, duration_min_);
+
+    for (std::size_t i = 0; i < block.downloads(); ++i) {
+      const auto d = block.plan.download(i);
+      const double start_min = static_cast<double>(d.start) * d1_;
+      const double length_min = static_cast<double>(d.length) * d1_;
+      put_event(obs::EventKind::kSegmentDownloadStart, start_min, d.segment,
+                length_min);
+      put_event(obs::EventKind::kSegmentDownloadEnd, start_min + length_min,
+                d.segment, 0.0);
+      put_span(obs::SpanPhase::kSegmentDownload, session, start_min,
+               start_min + length_min, d.segment, length_min);
+    }
+
+    if (block.hits == 0) {
+      return;
+    }
+    VB_ASSERT(sweep_ != nullptr);
+    for_each_damaged(
+        *sweep_, injector_, block.plan, d1_, block.client,
+        [&](const DamagedDownload& hit) {
+          const auto episode = static_cast<double>(hit.damage.episode);
+          put_event(obs::EventKind::kFaultHit, hit.w_end, hit.segment,
+                    episode);
+          if (hit.damage.repaired) {
+            const double penalty = hit.repair_penalty();
+            put_event(obs::EventKind::kRepair, hit.damage.repaired_at_min,
+                      hit.segment, penalty);
+            put_span(obs::SpanPhase::kRepair, session, hit.w_end,
+                     hit.damage.repaired_at_min, hit.segment, penalty);
+          } else {
+            put_event(obs::EventKind::kFaultDegraded, hit.degraded_at(),
+                      hit.segment, episode);
+          }
+        });
+    VB_ASSERT(event == block.first_event + block.event_count());
+  }
+
+  obs::Sink& sink_;
+  double d1_;
+  double duration_min_;
+  FaultSweep* sweep_;
+  const fault::Injector* injector_;
+  bool defer_;
+  /// Pending blocks, oldest at head_; the size is zero or a power of two.
+  std::vector<ClientRecords> pending_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace
@@ -299,10 +478,16 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       !config.injector->plan().empty()) {
     fault_sweep.emplace(*layout, config.injector->plan());
   }
-  // Declared after the cache, so the blocks it still holds when the run
-  // ends are written while the cache's views are alive.
-  PendingReceptions pending_receptions(sink);
-  const bool defer_receptions = cache.has_value() && cache->enabled();
+  // Declared after the cache and the sweep, so the blocks it still holds
+  // when the run ends are written while the cache's views are alive.
+  std::optional<ClientRecordWriter> client_records;
+  if (sink != nullptr) {
+    client_records.emplace(
+        *sink, layout.has_value() ? layout->unit_duration().v : 0.0,
+        input.video.duration.v,
+        fault_sweep.has_value() ? &*fault_sweep : nullptr, config.injector,
+        cache.has_value() && cache->enabled());
+  }
 
   // Time-series probes read simulation locals; the ProbeScope unregisters
   // them before those locals die. last_buffer_peak_units tracks the most
@@ -367,65 +552,21 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
     const double wait = start->v - request.arrival.v;
     report.latency_minutes.add(wait);
     ++report.clients_served;
-    std::uint64_t session_span = 0;
     if (sink != nullptr) {
       clients_counter->add();
       wait_sketch->observe(wait);
       title_wait[static_cast<std::size_t>(request.video)]->observe(wait);
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = request.arrival.v,
-          .kind = obs::EventKind::kClientArrival,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = 0.0,
-      });
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = start->v,
-          .kind = obs::EventKind::kTuneIn,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-      });
-      // Causal span tree: session covers arrival → playback end, with a
-      // tune child for the wait (its duration *is* the reported wait — the
-      // invariant trace_analyze --check leans on) and a playback child for
-      // the consumption window. Download children follow per planned client.
-      const double session_end = start->v + input.video.duration.v;
-      session_span = sink->spans.record(obs::Span{
-          .start_min = request.arrival.v,
-          .end_min = session_end,
-          .phase = obs::SpanPhase::kSession,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session_span,
-          .start_min = request.arrival.v,
-          .end_min = start->v,
-          .phase = obs::SpanPhase::kTune,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session_span,
-          .start_min = start->v,
-          .end_min = session_end,
-          .phase = obs::SpanPhase::kPlayback,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = input.video.duration.v,
-          .label = {},
-      });
     }
+    ClientRecords records{
+        .plan = {},
+        .arrival_min = request.arrival.v,
+        .start_min = start->v,
+        .video = request.video,
+        .client = report.clients_served,
+    };
+    // Outlives the claim below, which writes a block whose view points here
+    // at once.
+    client::ReceptionPlan local_plan;
 
     if (layout.has_value()) {
       // Playback starts at the joined broadcast, i.e. slot
@@ -433,7 +574,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       const double d1 = layout->unit_duration().v;
       const auto t0 = static_cast<std::uint64_t>(
           std::llround(start->v / d1));
-      client::ReceptionPlan local_plan;
       client::PlanView plan;
       if (cache.has_value()) {
         // A cheap contains() probe picks the timer before the clock starts,
@@ -447,6 +587,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
         local_plan = client::plan_reception(*layout, t0);
         plan = client::PlanView(local_plan, 0, false);
       }
+      records.plan = plan;
       if (!plan.jitter_free()) {
         ++report.jitter_events;
         obs::logf(obs::LogLevel::kWarn,
@@ -456,14 +597,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
                   static_cast<unsigned long long>(t0));
         if (sink != nullptr) {
           jitter_counter->add();
-          sink->trace.record(obs::TraceEvent{
-              .sim_time_min = start->v,
-              .kind = obs::EventKind::kJitter,
-              .channel = 0,
-              .video = request.video,
-              .client = report.clients_served,
-              .value = 0.0,
-          });
         }
       }
       report.max_concurrent_downloads =
@@ -472,105 +605,45 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       last_buffer_peak_units =
           static_cast<double>(plan.max_buffer_units());
       report.buffer_peak_mbits.add(plan.max_buffer(*layout).v);
-      if (sink != nullptr) {
-        pending_receptions.claim(
-            ReceptionRecords{.plan = plan,
-                             .d1 = d1,
-                             .video = request.video,
-                             .client = report.clients_served,
-                             .session_span = session_span},
-            defer_receptions);
-      }
 
       if (fault_sweep.has_value()) {
-        // Assess the downloads some episode touches against the fault plan
-        // and play the recovery policy forward; every other download is
-        // clean. Damage never becomes silent jitter: it is either repaired
+        // Play the recovery policy forward on every damaged download.
+        // Damage never becomes silent jitter: it is either repaired
         // (catch-up on a later repetition, or a disk stall absorbed in
         // place, both with the wait penalty recorded) or surfaced as
         // degradation.
-        // Views hand out downloads already shifted into absolute time, so
-        // damage is assessed against the arrival's real windows — cached
-        // plans can never alias another episode's damage.
-        for (const std::size_t di : fault_sweep->touched(plan)) {
-          const auto d = plan.download(di);
-          const double w_begin = static_cast<double>(d.start) * d1;
-          const double w_end = static_cast<double>(d.end()) * d1;
-          const double deadline_min = static_cast<double>(d.deadline) * d1;
-          const double period_min = static_cast<double>(d.length) * d1;
-          const auto damage = fault::assess_download(
-              config.injector, w_begin, w_end, d.segment, period_min,
-              report.clients_served * 4096 +
-                  static_cast<std::uint64_t>(d.segment));
-          if (!damage.damaged) {
-            continue;
-          }
-          ++report.fault_hits;
-          const auto episode = static_cast<double>(damage.episode);
-          if (sink != nullptr) {
-            fault_metrics
-                ->hits(config.injector->plan().episodes()[damage.episode].kind)
-                .add();
-            sink->trace.record(obs::TraceEvent{
-                .sim_time_min = w_end,
-                .kind = obs::EventKind::kFaultHit,
-                .channel = d.segment,
-                .video = request.video,
-                .client = report.clients_served,
-                .value = episode,
+        for_each_damaged(
+            *fault_sweep, config.injector, plan, d1, report.clients_served,
+            [&](const DamagedDownload& hit) {
+              ++report.fault_hits;
+              ++records.hits;
+              if (sink != nullptr) {
+                fault_metrics
+                    ->hits(config.injector->plan()
+                               .episodes()[hit.damage.episode]
+                               .kind)
+                    .add();
+              }
+              if (hit.damage.repaired) {
+                ++report.fault_repairs;
+                ++records.repairs;
+                const double penalty = hit.repair_penalty();
+                report.fault_penalty_minutes.add(penalty);
+                if (sink != nullptr) {
+                  fault_metrics->repairs().add();
+                  fault_metrics->repair_penalty().observe(penalty);
+                }
+              } else {
+                ++report.fault_degraded;
+                if (sink != nullptr) {
+                  fault_metrics->degraded().add();
+                }
+              }
             });
-          }
-          if (damage.repaired) {
-            ++report.fault_repairs;
-            // Download and playback both run at the display rate, so a
-            // catch-up that slides the download later stalls every byte by
-            // the same amount: the penalty is the effective start's
-            // overshoot past the segment's playback deadline.
-            const double effective_start =
-                damage.repaired_at_min - (w_end - w_begin);
-            const double penalty =
-                std::max(0.0, effective_start - deadline_min);
-            report.fault_penalty_minutes.add(penalty);
-            if (sink != nullptr) {
-              fault_metrics->repairs().add();
-              fault_metrics->repair_penalty().observe(penalty);
-              sink->trace.record(obs::TraceEvent{
-                  .sim_time_min = damage.repaired_at_min,
-                  .kind = obs::EventKind::kRepair,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = penalty,
-              });
-              sink->spans.record(obs::Span{
-                  .parent = session_span,
-                  .start_min = w_end,
-                  .end_min = damage.repaired_at_min,
-                  .phase = obs::SpanPhase::kRepair,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = penalty,
-                  .label = {},
-              });
-            }
-          } else {
-            ++report.fault_degraded;
-            if (sink != nullptr) {
-              fault_metrics->degraded().add();
-              sink->trace.record(obs::TraceEvent{
-                  .sim_time_min =
-                      w_end + static_cast<double>(damage.retries) * period_min,
-                  .kind = obs::EventKind::kFaultDegraded,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = episode,
-              });
-            }
-          }
-        }
       }
+    }
+    if (client_records.has_value()) {
+      client_records->claim(records);
     }
   };
 
@@ -589,6 +662,9 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       });
 
   probes.advance(config.horizon.v);
+  if (client_records.has_value()) {
+    client_records->finish();
+  }
   if (sink != nullptr) {
     sink->metrics.gauge("sim.max_concurrent_downloads")
         .max_of(static_cast<double>(report.max_concurrent_downloads));

@@ -14,8 +14,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "fault/injector.hpp"
 #include "metro/federation.hpp"
 #include "metro/topology.hpp"
+#include "obs/sink.hpp"
 #include "schemes/skyscraper.hpp"
 #include "sim/simulator.hpp"
 
@@ -113,6 +115,41 @@ TEST(HotPathAllocationTest, SimulateWithPlanCacheHasNoPerArrivalAllocation) {
       [&] { longer = sim::simulate(sb, input, cached_streaming_run(2400.0)); });
   ASSERT_GT(longer.clients_served, 3 * shorter.clients_served);
   ASSERT_TRUE(longer.latency_minutes.folded());
+  EXPECT_LE(at_4h, at_h + kGrowthSlack)
+      << "H: " << at_h << " allocations for " << shorter.clients_served
+      << " clients; 4H: " << at_4h << " for " << longer.clients_served;
+}
+
+TEST(HotPathAllocationTest, SimulateWithSinkAndFaultsHasNoPerArrivalAllocation) {
+  // The cached run above with a full sink and a fault plan on SB's 20
+  // channels: every client's records are claimed and most are overwritten,
+  // so the blocks still pending must not allocate as clients come and go.
+  const schemes::SkyscraperScheme sb(12);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{300.0},
+      .num_videos = 10,
+      .video = core::VideoParams{core::Minutes{120.0}, core::MbitPerSec{1.5}},
+  };
+  const auto run = [&](double horizon_min) {
+    auto spec = fault::parse_plan_spec("outages=2,bursts=1,stalls=1,restart=1");
+    EXPECT_TRUE(spec.has_value());
+    spec->horizon_min = horizon_min;
+    spec->channels = 20;
+    const fault::Injector injector(fault::Plan::generate(*spec, 11));
+    obs::Sink sink(4096, 4096);
+    auto config = cached_streaming_run(horizon_min);
+    config.injector = &injector;
+    config.sink = &sink;
+    sim::SimulationReport report;
+    const std::uint64_t allocations =
+        allocations_during([&] { report = sim::simulate(sb, input, config); });
+    EXPECT_GT(sink.spans.dropped(), 0U);
+    return std::pair{allocations, report};
+  };
+  const auto [at_h, shorter] = run(600.0);
+  const auto [at_4h, longer] = run(2400.0);
+  ASSERT_GT(longer.clients_served, 3 * shorter.clients_served);
+  ASSERT_GT(longer.fault_hits, 0U);
   EXPECT_LE(at_4h, at_h + kGrowthSlack)
       << "H: " << at_h << " allocations for " << shorter.clients_served
       << " clients; 4H: " << at_4h << " for " << longer.clients_served;

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "obs/sink.hpp"
 #include "schemes/pyramid.hpp"
 #include "schemes/skyscraper.hpp"
@@ -249,6 +251,111 @@ TEST(SimulatorTest, PendingPeakFlatWhenHorizonDoubles) {
   EXPECT_GT(served[1], served[0] * 3 / 2);
   EXPECT_EQ(peaks[0], 0.0);
   EXPECT_EQ(peaks[1], peaks[0]);
+}
+
+/// `sink`'s retained spans in id order.
+std::vector<obs::Span> spans_by_id(const obs::Sink& sink) {
+  auto spans = sink.spans.spans();
+  std::sort(spans.begin(), spans.end(),
+            [](const obs::Span& a, const obs::Span& b) { return a.id < b.id; });
+  return spans;
+}
+
+// Each client's records are claimed as one block per ring and only the
+// retained ones are ever written, so a C-span ring must hold exactly the
+// spans with id > recorded - C of the same run on a ring that drops
+// nothing. Capacities are drawn at random, plus ones whose cut falls inside
+// a client's block, under a dense fault plan so repair spans end blocks.
+TEST(SimulatorTest, SpanRingIsTheSuffixOfTheUnboundedRun) {
+  const schemes::SkyscraperScheme sb(12);
+  const auto input = paper_input(300.0);
+  const fault::Injector injector(fault::Plan::generate(
+      fault::PlanSpec{.horizon_min = 240.0,
+                      .channels = 20,
+                      .outages = 12,
+                      .bursts = 6,
+                      .disk_stalls = 4,
+                      .server_restart = true},
+      23));
+  constexpr std::size_t kUnbounded = std::size_t{1} << 20;
+  struct Variant {
+    bool plan_clients;
+    bool plan_cache;
+  };
+  // Cached views are written at the end of the run; fresh plans and
+  // unplanned clients (no downloads, no damage) at once.
+  for (const auto [plan_clients, plan_cache] :
+       {Variant{true, true}, Variant{true, false}, Variant{false, true}}) {
+    SCOPED_TRACE(::testing::Message() << "plan_clients=" << plan_clients
+                                      << " plan_cache=" << plan_cache);
+    SimulationConfig config;
+    config.horizon = core::Minutes{240.0};
+    config.arrivals_per_minute = 8.0;
+    config.seed = 31;
+    config.plan_clients = plan_clients;
+    config.plan_cache = plan_cache;
+    config.injector = &injector;
+    obs::Sink full(kUnbounded, kUnbounded);
+    config.sink = &full;
+    const auto report = simulate(sb, input, config);
+    if (plan_clients) {
+      ASSERT_GT(report.fault_repairs, 0U);
+      ASSERT_GT(report.fault_degraded, 0U);
+    }
+    ASSERT_EQ(full.trace.dropped(), 0U);
+    ASSERT_EQ(full.spans.dropped(), 0U);
+    const auto all = spans_by_id(full);
+    const std::uint64_t recorded = full.spans.recorded();
+    ASSERT_EQ(all.size(), recorded);
+
+    std::vector<std::size_t> capacities = {1, 2, 3, 7, 97};
+    util::Rng rng(plan_clients * 2 + plan_cache + 1);
+    for (int i = 0; i < 6; ++i) {
+      capacities.push_back(1 + rng.next_below(recorded));
+    }
+    // Cuts just after a session span, and inside a client's downloads.
+    for (int i = 0; i < 4; ++i) {
+      const auto& pick = all[rng.next_below(all.size())];
+      const std::uint64_t session = pick.parent == 0 ? pick.id : pick.parent;
+      capacities.push_back(recorded - session);
+      if (plan_clients) {
+        capacities.push_back(recorded - session - 5);
+      }
+    }
+
+    for (const std::size_t cap : capacities) {
+      SCOPED_TRACE(::testing::Message() << "capacity=" << cap);
+      const std::size_t trace_cap = 1 + rng.next_below(full.trace.recorded());
+      obs::Sink ring(trace_cap, cap);
+      config.sink = &ring;
+      (void)simulate(sb, input, config);
+      EXPECT_EQ(ring.trace.recorded(), full.trace.recorded());
+      EXPECT_EQ(ring.trace.dropped(),
+                full.trace.recorded() -
+                    std::min<std::uint64_t>(trace_cap, full.trace.recorded()));
+      EXPECT_EQ(ring.spans.recorded(), recorded);
+      EXPECT_EQ(ring.spans.dropped(),
+                recorded - std::min<std::uint64_t>(cap, recorded));
+      const auto kept = spans_by_id(ring);
+      const std::uint64_t first_id =
+          recorded > cap ? recorded - cap + 1 : std::uint64_t{1};
+      ASSERT_EQ(kept.size(), recorded - first_id + 1);
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        const auto& got = kept[k];
+        const auto& want = all[static_cast<std::size_t>(first_id - 1) + k];
+        ASSERT_EQ(got.id, want.id);
+        EXPECT_EQ(got.parent, want.parent) << "span " << got.id;
+        EXPECT_EQ(got.start_min, want.start_min) << "span " << got.id;
+        EXPECT_EQ(got.end_min, want.end_min) << "span " << got.id;
+        EXPECT_EQ(got.phase, want.phase) << "span " << got.id;
+        EXPECT_EQ(got.channel, want.channel) << "span " << got.id;
+        EXPECT_EQ(got.video, want.video) << "span " << got.id;
+        EXPECT_EQ(got.client, want.client) << "span " << got.id;
+        EXPECT_EQ(got.value, want.value) << "span " << got.id;
+        EXPECT_EQ(got.label, want.label) << "span " << got.id;
+      }
+    }
+  }
 }
 
 }  // namespace
