@@ -9,14 +9,16 @@
 # under tools/trace_analyze --check), a fault-injection self-check (a
 # seeded simulate --fault-plan run must satisfy the hit = repair +
 # degraded contract in its trace under tools/trace_check --faults and in
-# its metrics under tools/metrics_check), a metro federation
-# self-check (a seeded 4-region vodbcast metro run must conserve arrivals
-# across served-local/rerouted/rejected under tools/metrics_check and
-# reproduce its stdout and metrics byte for byte at --threads 4), a quick
-# pass of the bench suite to
-# prove every binary still writes a valid BENCH_*.json that bench_diff can
-# read back, and (opt-in) the mechanical perf gate against the committed
-# trajectory.
+# its metrics under tools/metrics_check, and again on trace and span rings
+# of 777 that wrap partway through a client's records, where
+# tools/trace_analyze must find no session beyond tolerance, and on a trace
+# ring of 793 that cuts a client between a hit and its repair), a metro
+# federation self-check (a seeded 4-region vodbcast metro run must conserve
+# arrivals across served-local/rerouted/rejected under tools/metrics_check
+# and reproduce its stdout and metrics byte for byte at --threads 4), a
+# quick pass of the bench suite to prove every binary still writes a valid
+# BENCH_*.json that bench_diff can read back, and (opt-in) the mechanical
+# perf gate against the committed trajectory.
 #
 #   scripts/verify_all.sh [--skip-sanitize] [--perf-gate]
 #                         [--perf-threshold FRAC]
@@ -150,6 +152,29 @@ build/tools/metrics_check "$om_dir/faults.txt" \
   'fault_repair_penalty_min_count == fault_repairs_total' \
   "${timing_asserts[@]}" \
   --verbose
+# The same run on rings that wrap partway through a client's block: what
+# they keep must still satisfy the fault contract, and every kept session
+# must still attribute its whole wait to enumerated phases.
+build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
+  --horizon 240 --arrivals 4 --seed 42 \
+  --fault-plan outages=2,bursts=2,stalls=1,restart=1 --fault-seed 7 \
+  --trace-out "$om_dir/faults_wrapped.jsonl" --trace-limit 777 \
+  --spans-out "$om_dir/faults_wrapped_spans.jsonl" --spans-limit 777
+build/tools/trace_check "$om_dir/faults_wrapped.jsonl" --faults
+build/tools/trace_analyze "$om_dir/faults_wrapped_spans.jsonl" \
+  > "$om_dir/faults_wrapped_analysis.txt"
+grep -qF '(0 session(s) beyond tolerance' \
+  "$om_dir/faults_wrapped_analysis.txt"
+# A trace ring of 793 cuts one client between its fault_hit and its repair:
+# trace_check must leave that client unchecked, not report the repair as
+# bookkeeping out of thin air.
+build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
+  --horizon 240 --arrivals 4 --seed 42 \
+  --fault-plan outages=2,bursts=2,stalls=1,restart=1 --fault-seed 7 \
+  --trace-out "$om_dir/faults_cut.jsonl" --trace-limit 793
+build/tools/trace_check "$om_dir/faults_cut.jsonl" --faults \
+  > "$om_dir/faults_cut_check.txt"
+grep -q 'not checked' "$om_dir/faults_cut_check.txt"
 
 echo "== metro federation self-check =="
 # A seeded 4-region federation. Every arrival must be accounted for by

@@ -6,8 +6,8 @@
 #               reassembly/loss paths, the fault-injection/recovery layer,
 #               the adaptive control plane and the metro federation, plus
 #               the engine golden digests, whose ring-pressure cases make
-#               sim::simulate fill reception records it deferred to the end
-#               of the run (a deferred PlanView outliving its plan fails);
+#               sim::simulate fill client records it deferred to the end of
+#               the run (a deferred PlanView outliving its plan fails);
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               simulate_replicated, simulate_adaptive_replicated and
 #               simulate_federation_replicated runs, the pooled bandwidth

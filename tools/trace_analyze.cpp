@@ -19,7 +19,10 @@
 //      --sessions-metric counter, per-title critical-path wait sums must
 //      match the --wait-family sketch sums within --rel-tol, and each
 //      session's critical path must attribute >= 95% (--attribution-tol) of
-//      its reported wait to enumerated phases.
+//      its reported wait to enumerated phases. The two totals checks need
+//      a span ring that dropped nothing; their failure messages quote the
+//      dump's obs.spans.dropped, and the per-session attribution holds on
+//      any ring.
 //
 //   trace_analyze SPANS.jsonl [--top N] [--check] [--metrics METRICS.json]
 //                 [--sessions-metric sim.clients_served]
@@ -132,7 +135,11 @@ int usage() {
       "                     [--sessions-metric NAME] [--wait-family NAME]\n"
       "                     [--rel-tol X] [--attribution-tol X]\n"
       "  --top N              slowest sessions to list (default 10)\n"
-      "  --check              cross-check span totals against --metrics\n"
+      "  --check              cross-check span totals against --metrics;\n"
+      "                       the session count and wait sums need a span\n"
+      "                       ring that dropped nothing (obs.spans.dropped\n"
+      "                       = 0), the per-session attribution holds on\n"
+      "                       any ring\n"
       "  --metrics FILE       --metrics-out JSON dump of the same run\n"
       "  --sessions-metric M  counter that must equal the session count\n"
       "                       (default sim.clients_served)\n"
@@ -344,8 +351,20 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // Check 1: session count == the served-clients counter.
+    // The totals cover every session of the run, the spans only those the
+    // ring kept: a totals failure on a ring that dropped spans says so.
     const Value* counters = metrics.find("counters");
+    const double spans_dropped =
+        counters != nullptr ? counters->number_or("obs.spans.dropped", 0.0)
+                            : 0.0;
+    char dropped_note[160];
+    std::snprintf(dropped_note, sizeof dropped_note,
+                  " (obs.spans.dropped = %.0f%s)", spans_dropped,
+                  spans_dropped > 0.0
+                      ? ": the totals need a span ring that dropped nothing"
+                      : "");
+
+    // Check 1: session count == the served-clients counter.
     const Value* served = counters != nullptr
                               ? counters->find(sessions_metric)
                               : nullptr;
@@ -354,9 +373,9 @@ int main(int argc, char** argv) {
                   sessions_metric.c_str());
       ++violations;
     } else if (static_cast<double>(sessions.size()) != served->as_number()) {
-      std::printf("CHECK FAIL: %zu session spans but %s = %.0f\n",
+      std::printf("CHECK FAIL: %zu session spans but %s = %.0f%s\n",
                   sessions.size(), sessions_metric.c_str(),
-                  served->as_number());
+                  served->as_number(), dropped_note);
       ++violations;
     } else {
       std::printf("check: session count matches %s = %zu\n",
@@ -366,6 +385,7 @@ int main(int argc, char** argv) {
     // Check 2: per-title critical-path wait sums vs. the sketch family.
     const Value* sketches = metrics.find("sketches");
     std::size_t series_checked = 0;
+    std::size_t series_failed = 0;
     if (sketches != nullptr && sketches->is_object()) {
       const std::string prefix = wait_family + "{title=";
       for (const auto& [key, series] : sketches->as_object()) {
@@ -381,9 +401,10 @@ int main(int argc, char** argv) {
                                       std::abs(span_sum));
         if (denom > 0.0 && std::abs(family_sum - span_sum) > rel_tol * denom) {
           std::printf("CHECK FAIL: title %llu wait sum: spans %.12g vs"
-                      " %s %.12g\n",
+                      " %s %.12g%s\n",
                       static_cast<unsigned long long>(title), span_sum,
-                      wait_family.c_str(), family_sum);
+                      wait_family.c_str(), family_sum, dropped_note);
+          ++series_failed;
           ++violations;
         }
         ++series_checked;
@@ -393,7 +414,7 @@ int main(int argc, char** argv) {
       std::printf("CHECK FAIL: metrics dump has no '%s{title=...}' series\n",
                   wait_family.c_str());
       ++violations;
-    } else {
+    } else if (series_failed == 0) {
       std::printf("check: per-title wait sums agree over %zu series"
                   " (rel tol %.2g)\n",
                   series_checked, rel_tol);
